@@ -176,6 +176,8 @@ def _load_experiment_spec(path: str) -> ExperimentSpec:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     spec = _load_experiment_spec(args.spec)
     result = run_experiment(spec, max_workers=args.threads)
     agg = aggregate_json(result.reports)

@@ -104,10 +104,10 @@ def delta_feasible_range(alpha: float, beta: float) -> tuple[float, float]:
 
 
 def _build_report(alpha: float, rho: float | None, delta: float, beta: float) -> AssumptionReport:
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     ad = alpha * delta
@@ -175,7 +175,7 @@ def sample_c_statistic(sample: SampleData, params: AdaptiveParams) -> float:
     Not scale-invariant: rescaling the sample by c replaces log X_(1) with
     log(c * X_(1)) while leaving V_n unchanged.
     """
-    x1 = sample.ordered[0]
+    x1 = sample.maximum
     if x1 <= 0.0:
         raise DegenerateSampleError("sample maximum is 0")
     v = v_count(sample, params.gamma)

@@ -252,12 +252,14 @@ def sample_tail(model: TailModel, n: int, seed: int) -> np.ndarray:
 
 
 def sample_truncated(spec: TruncatedSampleSpec) -> SampleData:
-    """Apply the threshold rule to raw heavy draws, before any sorting:
+    """Apply the threshold rule to raw heavy draws:
     X = H if H <= M_n else M_n + L, with H and L on independent streams."""
     m = spec.truncation.threshold(spec.n)
     heavy = sample_tail(spec.tail, spec.n, spec.seed)
     light = spec.light.sample(_stream(spec.seed, _L_STREAM), spec.n)
-    return SampleData(np.where(heavy <= m, heavy, m + light))
+    big = heavy > m
+    heavy[big] = m + light[big]
+    return SampleData(heavy)
 
 
 def _parse_fields(body: str, what: str, keys: dict[str, float | None]) -> dict[str, float]:

@@ -36,13 +36,14 @@ class InsufficientTailDataError(ValueError):
 
 
 class SampleData:
-    """Nonnegative sample with cached descending order statistics.
+    """Nonnegative sample with its maximum and on-demand order statistics.
 
-    ``values`` keeps insertion order; ``ordered[i]`` is the (i+1)-th largest
-    value. Sorting happens once, here; every estimator reuses the cache.
+    ``values`` keeps insertion order and ``maximum`` is X_(1); ``top(k)[i]``
+    is the (i+1)-th largest value. Estimators need only the top k, so the
+    sample is fully sorted only if a caller asks for ``ordered``.
     """
 
-    __slots__ = ("values", "ordered")
+    __slots__ = ("values", "maximum", "_top")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)
@@ -53,17 +54,40 @@ class SampleData:
         if arr.min() < 0:
             raise ValueError("sample values must be nonnegative")
         self.values = arr
-        self.ordered = np.sort(arr, kind="stable")[::-1]
+        self.maximum = float(arr.max())
+        self._top = arr[:0]
 
     @property
     def n(self) -> int:
         return self.values.size
 
+    def top(self, k: int) -> np.ndarray:
+        """The k largest values in descending order, as a read-only array.
+
+        The largest k requested so far stay cached, so a smaller k is a
+        slice. The cache is replaced only once fully built, so a concurrent
+        reader sees the old array or the new one, never a partial one.
+        """
+        n = self.values.size
+        if not 1 <= k <= n:
+            raise ValueError(f"k must be in [1, {n}], got {k}")
+        top = self._top
+        if top.size < k:
+            top = np.sort(np.partition(self.values, n - k)[n - k:])[::-1]
+            top.flags.writeable = False
+            self._top = top
+        return top[:k]
+
+    @property
+    def ordered(self) -> np.ndarray:
+        """All n values in descending order."""
+        return self.top(self.n)
+
     def __len__(self) -> int:
         return self.values.size
 
     def __repr__(self) -> str:
-        return f"SampleData(n={self.n}, max={self.ordered[0]!r})"
+        return f"SampleData(n={self.n}, max={self.maximum!r})"
 
 
 @dataclass(frozen=True)
@@ -123,20 +147,18 @@ def hill_statistic(sample: SampleData, k: int) -> float:
 
     The i = k term contributes exactly zero; the result is nonnegative.
     """
-    n = sample.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    xk = sample.ordered[k - 1]
+    top = sample.top(k)
+    xk = top[-1]
     if xk <= 0.0:
         raise DegenerateSampleError(f"X_({k}) = 0; log ratios are undefined")
-    return float(np.log(sample.ordered[:k] / xk).mean())
+    return float(np.log(top / xk).mean())
 
 
 def v_count(sample: SampleData, gamma: float) -> int:
     """Strict count of values above gamma * X_(1); at least 1 since gamma < 1."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    x1 = sample.ordered[0]
+    x1 = sample.maximum
     if x1 <= 0.0:
         raise DegenerateSampleError("sample maximum is 0")
     return int(np.count_nonzero(sample.values > gamma * x1))
@@ -224,9 +246,10 @@ def hill_curve(sample: SampleData, k_min: int, k_max: int) -> list[tuple[int, fl
     n = sample.n
     if not 1 <= k_min <= k_max <= n:
         raise ValueError(f"need 1 <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]")
-    if sample.ordered[k_max - 1] <= 0.0:
+    top = sample.top(k_max)
+    if top[-1] <= 0.0:
         raise DegenerateSampleError(f"X_({k_max}) = 0; log ratios are undefined")
-    logs = np.log(sample.ordered[:k_max])
+    logs = np.log(top)
     prefix = np.cumsum(logs)
     ks = np.arange(k_min, k_max + 1)
     hs = prefix[ks - 1] / ks - logs[ks - 1]

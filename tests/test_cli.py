@@ -108,6 +108,14 @@ class TestDiagnoseCommand:
         assert proc.returncode == 2
         assert "rho" in proc.stderr
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--delta"])
+    def test_infinite_exponent_rejected(self, flag):
+        args = {"--alpha": "1", "--rho": "-1", "--beta": "0.5", "--delta": "0.6", flag: "inf"}
+        proc = run_cli("diagnose", *[x for pair in args.items() for x in pair])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"{flag[2:]} must be positive and finite, got inf" in proc.stderr
+
 
 class TestSimulateCommand:
     ARGS = (
@@ -230,6 +238,14 @@ class TestExperimentCommand:
         one = run_cli("experiment", "--spec", str(spec), "--threads", "1")
         many = run_cli("experiment", "--spec", str(spec), "--threads", "8")
         assert one.stdout == many.stdout
+
+    @pytest.mark.parametrize("threads", ["-4", "0"])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        spec = self.write_spec(tmp_path)
+        proc = run_cli("experiment", "--spec", str(spec), "--threads", threads)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"--threads must be >= 1, got {threads}" in proc.stderr
 
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "exp.json"

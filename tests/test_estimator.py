@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from trunctail import (
@@ -56,6 +56,77 @@ class TestSampleData:
         s = SampleData(raw)
         raw[0] = 99.0
         assert s.values.tolist() == [3.0, 1.0]
+
+
+# Few distinct values give heavy ties; 0.0 exercises the zero order statistics.
+# The seeded branch reaches sizes above the few hundred below which
+# np.partition happens to leave its tail sorted, so the sort after it counts.
+tied_samples = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    | st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=60,
+) | st.builds(
+    lambda n, distinct, seed: np.random.default_rng(seed).integers(0, distinct, n) / 2.0,
+    st.integers(1, 3000),
+    st.integers(1, 10**6),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def full_sort_desc(values) -> np.ndarray:
+    return np.sort(np.asarray(values, dtype=float), kind="stable")[::-1]
+
+
+class TestTopK:
+    """top(k) and everything built on it against a straight-line full sort."""
+
+    @given(tied_samples, st.data())
+    def test_any_call_sequence_matches_full_sort(self, values, data):
+        n = len(values)
+        desc = full_sort_desc(values)
+        ks = data.draw(st.lists(st.sampled_from([1, n]) | st.integers(1, n), max_size=8))
+        s = SampleData(values)
+        for k in ks + [1, n, 1]:
+            got = s.top(k)
+            assert np.array_equal(got, desc[:k])
+            assert not got.flags.writeable
+        assert np.array_equal(s.ordered, desc)
+        assert s.maximum == desc[0]
+
+    @given(tied_samples, st.data())
+    def test_forced_k_estimate_matches_full_sort(self, values, data):
+        n = len(values)
+        assume(n >= 2)
+        k = data.draw(st.sampled_from([2, n]) | st.integers(2, n))
+        desc = full_sort_desc(values)
+        s = SampleData(values)
+        if desc[k - 1] <= 0.0:
+            with pytest.raises(DegenerateSampleError):
+                estimate(s, k=k)
+            return
+        h = float(np.log(desc[:k] / desc[k - 1]).mean())
+        if h <= 0.0:
+            with pytest.raises(DegenerateSampleError):
+                estimate(s, k=k)
+        else:
+            assert estimate(s, k=k).h == h
+
+    @given(tied_samples, st.data())
+    def test_hill_curve_matches_full_sort(self, values, data):
+        n = len(values)
+        k_max = data.draw(st.sampled_from([1, n]) | st.integers(1, n))
+        k_min = data.draw(st.integers(1, k_max))
+        desc = full_sort_desc(values)
+        s = SampleData(values)
+        if desc[k_max - 1] <= 0.0:
+            with pytest.raises(DegenerateSampleError):
+                hill_curve(s, k_min, k_max)
+            return
+        logs = np.log(desc[:k_max])
+        prefix = np.cumsum(logs)
+        want = [(k, prefix[k - 1] / k - logs[k - 1]) for k in range(k_min, k_max + 1)]
+        assert hill_curve(s, k_min, k_max) == want
 
 
 class TestHillStatistic:
