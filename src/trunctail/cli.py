@@ -136,7 +136,7 @@ def _load_experiment_spec(path: str) -> ExperimentSpec:
     if unknown:
         raise ValueError(f"{path}: unknown field(s): {', '.join(sorted(unknown))}")
 
-    def field(name: str, convert, default=None, required: bool = True):
+    def field(name: str, convert=lambda v: v, default=None, required: bool = True):
         if name not in doc:
             if required:
                 raise ValueError(f"{path}: missing field '{name}'")
@@ -146,20 +146,16 @@ def _load_experiment_spec(path: str) -> ExperimentSpec:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: field '{name}': {exc}") from None
 
-    def int_list(v):
-        if not isinstance(v, list):
-            raise ValueError(f"expected a list of integers, got {v!r}")
-        return tuple(int(x) for x in v)
-
     tail = field("tail", lambda v: parse_tail_model(str(v)))
     light = field("light", lambda v: parse_light_model(str(v)))
     trunc = field("trunc", lambda v: parse_truncation(str(v)))
     beta = field("beta", float, default=0.7, required=False)
     gamma = field("gamma", float, default=0.5, required=False)
     level = field("level", float, default=0.95, required=False)
-    n_list = field("n_list", int_list)
-    replications = field("replications", int)
-    base_seed = field("base_seed", int)
+    # integer fields pass through as parsed; ExperimentSpec rejects floats and bools
+    n_list = field("n_list")
+    replications = field("replications")
+    base_seed = field("base_seed")
     try:
         return ExperimentSpec(
             tail=tail,

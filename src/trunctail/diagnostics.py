@@ -15,9 +15,9 @@ is blown up by the squared logarithm, so boundaries count as failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .estimator import AdaptiveParams, DegenerateSampleError, SampleData, v_count
+from .estimator import AdaptiveParams, SampleData, v_count
 
 __all__ = [
     "HOLDS",
@@ -55,8 +55,6 @@ class AssumptionReport:
     beta_window: tuple[float, float] | None
     rho_condition: bool | None
     notes: tuple[str, ...] = ()
-    c_statistic: float | None = None
-    c_trend: str | None = None
 
     def to_dict(self) -> dict:
         lo, hi = self.beta_window if self.beta_window is not None else (None, None)
@@ -66,31 +64,29 @@ class AssumptionReport:
             "beta_window_lo": lo,
             "beta_window_hi": hi,
             "rho_ok": self.rho_condition,
-            "c_statistic": self.c_statistic,
-            "c_trend": self.c_trend,
             "notes": list(self.notes),
         }
 
 
-def _verdict_below(value: float, critical: float) -> str:
-    if math.isclose(value, critical, rel_tol=_REL_TOL):
+def _verdict(value: float, holds: bool) -> str:
+    """Verdict on an exponent condition whose critical value is 1."""
+    if math.isclose(value, 1.0, rel_tol=_REL_TOL):
         return BOUNDARY
-    return HOLDS if value < critical else FAILS
+    return HOLDS if holds else FAILS
 
 
-def _verdict_above(value: float, critical: float) -> str:
-    if math.isclose(value, critical, rel_tol=_REL_TOL):
-        return BOUNDARY
-    return HOLDS if value > critical else FAILS
+def beta_feasible_range(alpha: float, rho: float | None) -> tuple[float, float] | None:
+    """Open beta window (max(1 - 1/alpha, 0, 1/(1 - rho)), 1); None if empty.
 
-
-def beta_feasible_range(alpha: float, rho: float) -> tuple[float, float] | None:
-    """Open beta window (max(1 - 1/alpha, 0, 1/(1 - rho)), 1); None if empty."""
+    rho None means a first-order exact tail, which drops the 1/(1 - rho) term.
+    """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not rho < 0.0:
-        raise ValueError(f"rho must be negative, got {rho}")
-    lo = max(1.0 - 1.0 / alpha, 0.0, 1.0 / (1.0 - rho))
+    lo = max(1.0 - 1.0 / alpha, 0.0)
+    if rho is not None:
+        if not rho < 0.0:
+            raise ValueError(f"rho must be negative, got {rho}")
+        lo = max(lo, 1.0 / (1.0 - rho))
     return (lo, 1.0) if lo < 1.0 else None
 
 
@@ -103,7 +99,12 @@ def delta_feasible_range(alpha: float, beta: float) -> tuple[float, float]:
     return (1.0 / (alpha * (2.0 - beta)), 1.0 / alpha)
 
 
-def _build_report(alpha: float, rho: float | None, delta: float, beta: float) -> AssumptionReport:
+def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: float) -> AssumptionReport:
+    """Classify the growth conditions from the exponents alone.
+
+    rho is the second-order exponent, or None for a first-order exact tail.
+    Scale-free: the threshold constant A never enters the verdicts.
+    """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (delta > 0.0 and math.isfinite(delta)):
@@ -111,8 +112,9 @@ def _build_report(alpha: float, rho: float | None, delta: float, beta: float) ->
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     ad = alpha * delta
-    b = _verdict_below(ad, 1.0)
-    c = _verdict_above(ad * (2.0 - beta), 1.0)
+    adb = ad * (2.0 - beta)
+    b = _verdict(ad, ad < 1.0)
+    c = _verdict(adb, adb > 1.0)
     notes: list[str] = []
     if b == BOUNDARY:
         notes.append(
@@ -126,16 +128,12 @@ def _build_report(alpha: float, rho: float | None, delta: float, beta: float) ->
             " so the vanishing condition fails"
         )
     elif c == FAILS:
-        notes.append(
-            f"alpha*delta*(2-beta) = {ad * (2.0 - beta):g} <= 1: threshold grows too slowly"
-        )
+        notes.append(f"alpha*delta*(2-beta) = {adb:g} <= 1: threshold grows too slowly")
+    window = beta_feasible_range(alpha, rho)
     if rho is None:
-        lo = max(1.0 - 1.0 / alpha, 0.0)
-        window = (lo, 1.0) if lo < 1.0 else None
         rho_ok = None
         notes.append("first-order exact tail: no second-order constraint on beta")
     else:
-        window = beta_feasible_range(alpha, rho)
         rho_ok = rho < -(1.0 - beta) / beta
         if not rho_ok:
             notes.append(
@@ -153,19 +151,8 @@ def _build_report(alpha: float, rho: float | None, delta: float, beta: float) ->
 
 
 def check_assumptions(model, trunc, beta: float) -> AssumptionReport:
-    """Classify the growth conditions for a parametric tail and threshold rule.
-
-    Scale-free: only the exponents alpha, delta, beta (and the model's rho,
-    when it has one) enter the verdicts.
-    """
-    return _build_report(model.alpha, model.rho, trunc.delta, beta)
-
-
-def report_for_parameters(alpha: float, rho: float, beta: float, delta: float) -> AssumptionReport:
-    """Same report when alpha and rho are given directly instead of via a model."""
-    if not rho < 0.0:
-        raise ValueError(f"rho must be negative, got {rho}")
-    return _build_report(alpha, rho, delta, beta)
+    """``report_for_parameters`` with alpha and rho read from a tail model."""
+    return report_for_parameters(model.alpha, model.rho, beta, trunc.delta)
 
 
 def sample_c_statistic(sample: SampleData, params: AdaptiveParams) -> float:
@@ -175,12 +162,9 @@ def sample_c_statistic(sample: SampleData, params: AdaptiveParams) -> float:
     Not scale-invariant: rescaling the sample by c replaces log X_(1) with
     log(c * X_(1)) while leaving V_n unchanged.
     """
-    x1 = sample.maximum
-    if x1 <= 0.0:
-        raise DegenerateSampleError("sample maximum is 0")
     v = v_count(sample, params.gamma)
     n = sample.n
-    return float(n * (v / n) ** (2.0 - params.beta) * math.log(x1) ** 2)
+    return float(n * (v / n) ** (2.0 - params.beta) * math.log(sample.maximum) ** 2)
 
 
 @dataclass(frozen=True)
@@ -190,10 +174,6 @@ class CStatisticTrend:
     sizes: tuple[int, ...]
     values: tuple[float, ...]
     label: str
-
-    def attach(self, report: AssumptionReport) -> AssumptionReport:
-        """Copy the full-sample value and trend label into a report."""
-        return replace(report, c_statistic=self.values[-1], c_trend=self.label)
 
 
 def c_statistic_trend(sample: SampleData, params: AdaptiveParams) -> CStatisticTrend:

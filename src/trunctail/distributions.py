@@ -34,6 +34,9 @@ __all__ = [
 
 _MAX_SEED = 2**64
 
+# Largest exponential draw at rate 1: -log(1 - U) with U <= 1 - 2**-53.
+_MAX_UNIT_EXP_DRAW = 53 * math.log(2.0)
+
 # Fixed stream ids: heavy draws and light excesses never share a stream.
 _H_STREAM = 0
 _L_STREAM = 1
@@ -71,10 +74,6 @@ class Pareto:
     def rho(self) -> float | None:
         """Second-order exponent; None because the Pareto tail is first-order exact."""
         return None
-
-    @property
-    def support_left(self) -> float:
-        return self.xmin
 
     def survival(self, x: float) -> float:
         if x < self.xmin:
@@ -120,10 +119,6 @@ class Burr:
     @property
     def rho(self) -> float:
         return -1.0 / self.lam
-
-    @property
-    def support_left(self) -> float:
-        return 0.0
 
     def survival(self, x: float) -> float:
         if x <= 0.0:
@@ -186,6 +181,8 @@ class Exponential:
 
     def __post_init__(self):
         _require_positive("rate", self.rate)
+        if not math.isfinite(_MAX_UNIT_EXP_DRAW / self.rate):
+            raise ValueError(f"rate must be large enough for finite draws, got {self.rate!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # inversion of one uniform per draw: -log(1 - U)/rate

@@ -4,7 +4,7 @@ top order statistics, with normal-limit confidence intervals."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,17 +129,7 @@ class HillEstimate:
         return 1.0 / self.ci_hi, 1.0 / self.ci_lo
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k_hat": self.k_hat,
-            "h": self.h,
-            "alpha_hat": self.alpha_hat,
-            "se": self.se,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "level": self.level,
-            "v_count": self.v_count,
-        }
+        return asdict(self)
 
 
 def hill_statistic(sample: SampleData, k: int) -> float:
@@ -151,31 +141,15 @@ def hill_statistic(sample: SampleData, k: int) -> float:
     xk = top[-1]
     if xk <= 0.0:
         raise DegenerateSampleError(f"X_({k}) = 0; log ratios are undefined")
-    return float(np.log(top / xk).mean())
-
-
-def v_count(sample: SampleData, gamma: float) -> int:
-    """Strict count of values above gamma * X_(1); at least 1 since gamma < 1."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    x1 = sample.maximum
-    if x1 <= 0.0:
-        raise DegenerateSampleError("sample maximum is 0")
-    return int(np.count_nonzero(sample.values > gamma * x1))
-
-
-def adaptive_k(sample: SampleData, params: AdaptiveParams) -> int:
-    """Integer part of n * (V_n/n)**beta with V_n the count above gamma * X_(1)."""
-    n = sample.n
-    v = v_count(sample, params.gamma)
-    return int(math.floor(n * (v / n) ** params.beta))
+    with np.errstate(over="ignore"):
+        h = float(np.log(top / xk).mean())
+    if not math.isfinite(h):
+        raise DegenerateSampleError(f"X_(1)/X_({k}) = {float(top[0])!r}/{float(xk)!r} overflows")
+    return h
 
 
 def u_count(sample: SampleData, gamma: float, m: float) -> int:
-    """Strict count of values above gamma * m, for a known truncation level m.
-
-    Simulation-side diagnostic; real data never knows m.
-    """
+    """Strict count of values above gamma * m: V_n at m = X_(1), U_n at a known M_n."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if not m > 0.0:
@@ -183,8 +157,20 @@ def u_count(sample: SampleData, gamma: float, m: float) -> int:
     return int(np.count_nonzero(sample.values > gamma * m))
 
 
+def v_count(sample: SampleData, gamma: float) -> int:
+    """Strict count V_n of values above gamma * X_(1); at least 1 since gamma < 1."""
+    if sample.maximum <= 0.0:
+        raise DegenerateSampleError("sample maximum is 0")
+    return u_count(sample, gamma, sample.maximum)
+
+
+def adaptive_k(sample: SampleData, params: AdaptiveParams) -> int:
+    """Integer part of n * (V_n/n)**beta with V_n the count above gamma * X_(1)."""
+    return tilde_k(sample.n, v_count(sample, params.gamma), params.beta)
+
+
 def tilde_k(n: int, u: int, beta: float) -> int:
-    """Integer part of n**(1-beta) * u**beta."""
+    """Integer part of n**(1-beta) * u**beta: k-hat from V_n, k-tilde from U_n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= u <= n:
@@ -213,7 +199,7 @@ def estimate(
         raise ValueError(f"level must be in (0, 1), got {level}")
     v = v_count(sample, params.gamma)
     if k is None:
-        k = int(math.floor(sample.n * (v / sample.n) ** params.beta))
+        k = tilde_k(sample.n, v, params.beta)
         if k < 2:
             raise InsufficientTailDataError(
                 f"adaptive count k = {k} (V = {v}, n = {sample.n}); need k >= 2 -- "

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
+from .distributions import _MAX_SEED, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
 from .estimator import (
     AdaptiveParams,
     DegenerateSampleError,
@@ -19,7 +19,7 @@ from .estimator import (
     tilde_k,
     u_count,
 )
-from .normal import ks_distance, normal_cdf, normal_quantile
+from .normal import ks_distance, normal_quantile
 
 __all__ = [
     "ExperimentError",
@@ -34,14 +34,16 @@ __all__ = [
     "replications_csv",
     "aggregate_json",
     "qq_csv",
-    "normal_cdf",
-    "normal_quantile",
-    "ks_distance",
 ]
 
 
 class ExperimentError(RuntimeError):
     """Every replication failed; no aggregate can be formed."""
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy integer; bool is excluded though it subclasses int."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def replication_seed(base_seed: int, n: int, index: int) -> int:
@@ -65,15 +67,20 @@ class ExperimentSpec:
     level: float = 0.95
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        n_list = tuple(self.n_list) if np.iterable(self.n_list) else None
+        if n_list is None or not all(_is_int(n) for n in n_list):
+            raise ValueError(f"n_list must be a list of integers, got {self.n_list!r}")
+        object.__setattr__(self, "n_list", tuple(int(n) for n in n_list))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
         if any(n < 1 for n in self.n_list):
             raise ValueError(f"every n must be >= 1, got {self.n_list}")
         if len(set(self.n_list)) != len(self.n_list):
             raise ValueError(f"n_list must not repeat sizes, got {self.n_list}")
-        if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
+        if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+        if not (_is_int(self.base_seed) and 0 <= self.base_seed < _MAX_SEED):
+            raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
 

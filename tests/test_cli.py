@@ -83,6 +83,15 @@ class TestEstimateCommand:
         assert proc.returncode == 3
         assert "k = 1" in proc.stderr
 
+    def test_overflowing_ratio_exits_three(self, tmp_path):
+        path = tmp_path / "overflow.csv"
+        path.write_text("1e6\n5e-324\n")
+        proc = run_cli("estimate", "--input", str(path), "--k", "2")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "X_(1)/X_(2) = 1000000.0/5e-324 overflows" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_all_equal_exits_three(self, tmp_path):
         path = tmp_path / "flat.csv"
         path.write_text("\n".join(["5"] * 30) + "\n")
@@ -176,6 +185,16 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert "unknown key" in proc.stderr
 
+    def test_overflowing_light_rate_exits_two(self):
+        proc = run_cli(
+            "simulate", "--tail", "pareto:alpha=2", "--light", "exp:rate=1e-320",
+            "--trunc", "A=1,delta=0.5", "--n", "10",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "rate must be" in proc.stderr
+        assert "Warning" not in proc.stderr
+
 
 class TestExperimentCommand:
     @staticmethod
@@ -255,6 +274,17 @@ class TestExperimentCommand:
         proc = run_cli("experiment", "--spec", str(path))
         assert proc.returncode == 2
         assert "replications" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("base_seed", -3), ("base_seed", True), ("n_list", [100.7]), ("replications", True)],
+    )
+    def test_non_integer_fields_rejected(self, tmp_path, field, value):
+        spec = self.write_spec(tmp_path, **{field: value})
+        proc = run_cli("experiment", "--spec", str(spec))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"{field} must be" in proc.stderr
 
     def test_json_syntax_error_reports_line(self, tmp_path):
         path = tmp_path / "exp.json"

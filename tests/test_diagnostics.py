@@ -68,9 +68,11 @@ class TestCheckAssumptions:
 
 class TestReportForParameters:
     def test_matches_burr_model_route(self):
-        via_model = check_assumptions(Burr(tau=1, lam=2), TruncationScheme(A=1, delta=0.45), beta=0.8)
-        via_params = report_for_parameters(alpha=2.0, rho=-0.5, beta=0.8, delta=0.45)
-        assert via_params == via_model
+        # Pareto has rho None: the first-order exact tail takes the same route
+        for model in (Burr(tau=1, lam=2), Pareto(alpha=1)):
+            via_model = check_assumptions(model, TruncationScheme(A=1, delta=0.45), beta=0.8)
+            via_params = report_for_parameters(alpha=model.alpha, rho=model.rho, beta=0.8, delta=0.45)
+            assert via_params == via_model
 
     def test_rejects_nonnegative_rho(self):
         with pytest.raises(ValueError, match="rho"):
@@ -80,11 +82,10 @@ class TestReportForParameters:
         doc = report_for_parameters(alpha=1.0, rho=-1.0, beta=0.8, delta=0.9).to_dict()
         assert list(doc) == [
             "b_holds", "c_holds", "beta_window_lo", "beta_window_hi",
-            "rho_ok", "c_statistic", "c_trend", "notes",
+            "rho_ok", "notes",
         ]
         assert doc["beta_window_lo"] == pytest.approx(0.5)
         assert doc["beta_window_hi"] == 1.0
-        assert doc["c_statistic"] is None
 
 
 class TestBetaWindow:
@@ -92,6 +93,7 @@ class TestBetaWindow:
         assert beta_feasible_range(1, -1) == (pytest.approx(0.5), 1.0)
         assert beta_feasible_range(2, -2) == (pytest.approx(0.5), 1.0)
         assert beta_feasible_range(0.5, -0.5) == (pytest.approx(2 / 3), 1.0)
+        assert beta_feasible_range(2.0, None) == (0.5, 1.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="rho"):
@@ -194,15 +196,6 @@ class TestCStatisticTrend:
         trend = c_statistic_trend(sample, AdaptiveParams(beta=0.8, gamma=0.5))
         strictly_down = all(b < a for a, b in zip(trend.values, trend.values[1:]))
         assert (trend.label == "decreasing") == strictly_down
-
-    def test_attach_to_report(self):
-        sample = self._sample(4000, seed=7)
-        params = AdaptiveParams(beta=0.8, gamma=0.5)
-        trend = c_statistic_trend(sample, params)
-        rep = trend.attach(check_assumptions(Burr(tau=1, lam=2), TruncationScheme(A=1, delta=0.45), 0.8))
-        doc = rep.to_dict()
-        assert doc["c_statistic"] == trend.values[-1]
-        assert doc["c_trend"] == trend.label
 
     def test_tiny_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 4"):

@@ -248,6 +248,15 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Exponential(rate=bad)
 
+    def test_exponential_rate_too_small_for_finite_draws(self):
+        with pytest.raises(ValueError, match="rate"):
+            Exponential(rate=1e-320)
+        with pytest.raises(ValueError, match="rate"):
+            parse_light_model("exp:rate=1e-320")
+        # the largest draw, 53*log(2)/rate, is still finite here
+        draws = Exponential(rate=1e-300).sample(np.random.default_rng(0), 1000)
+        assert np.all(np.isfinite(draws))
+
     def test_threshold_increases(self):
         t = TruncationScheme(A=2.0, delta=0.5)
         ms = [t.threshold(n) for n in (1, 10, 100, 10**6)]

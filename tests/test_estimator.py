@@ -105,8 +105,9 @@ class TestTopK:
             with pytest.raises(DegenerateSampleError):
                 estimate(s, k=k)
             return
-        h = float(np.log(desc[:k] / desc[k - 1]).mean())
-        if h <= 0.0:
+        with np.errstate(over="ignore"):
+            h = float(np.log(desc[:k] / desc[k - 1]).mean())
+        if not math.isfinite(h) or h <= 0.0:
             with pytest.raises(DegenerateSampleError):
                 estimate(s, k=k)
         else:
@@ -133,6 +134,14 @@ class TestHillStatistic:
     def test_hand_example(self):
         s = SampleData([8, 4, 2, 1])
         assert hill_statistic(s, 2) == pytest.approx(LOG2 / 2, abs=1e-12)
+
+    def test_overflowing_ratio_rejected(self):
+        # X_(1)/X_(2) = 1e6/5e-324 overflows to inf in double precision
+        s = SampleData([1e6, 5e-324])
+        with pytest.raises(DegenerateSampleError, match="overflows"):
+            hill_statistic(s, 2)
+        with pytest.raises(DegenerateSampleError, match="overflows"):
+            estimate(s, k=2)
 
     def test_all_equal_gives_zero(self):
         assert hill_statistic(SampleData([5, 5, 5]), 3) == 0.0

@@ -18,7 +18,8 @@ from trunctail import (
     run_experiment,
     run_replication,
 )
-from trunctail.montecarlo import aggregate_json, ks_distance, qq_csv, replications_csv
+from trunctail.montecarlo import aggregate_json, qq_csv, replications_csv
+from trunctail.normal import ks_distance
 
 VALID = dict(
     tail=Burr(tau=1, lam=2),
@@ -171,6 +172,14 @@ class TestRunExperiment:
             make_spec(replications=0)
         with pytest.raises(ValueError, match="level"):
             make_spec(level=1.2)
+        with pytest.raises(ValueError, match="base_seed"):
+            make_spec(base_seed=-3)
+        with pytest.raises(ValueError, match="base_seed"):
+            make_spec(base_seed=True)
+        with pytest.raises(ValueError, match="n_list"):
+            make_spec(n_list=[100.7])
+        with pytest.raises(ValueError, match="replications"):
+            make_spec(replications=True)
 
 
 class TestSerialization:
