@@ -107,7 +107,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
     spec = TruncatedSampleSpec(tail, light, trunc, args.n, seed)
     sample = sample_truncated(spec)
-    text = "x\n" + "\n".join(repr(float(v)) for v in sample.values) + "\n"
+    text = "x\n" + "\n".join(map(repr, sample.values.tolist())) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:

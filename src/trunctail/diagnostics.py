@@ -113,6 +113,10 @@ def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: f
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     ad = alpha * delta
     adb = ad * (2.0 - beta)
+    if not math.isfinite(adb):
+        raise ValueError(
+            f"alpha*delta*(2-beta) overflows: alpha = {alpha!r}, delta = {delta!r}"
+        )
     b = _verdict(ad, ad < 1.0)
     c = _verdict(adb, adb > 1.0)
     notes: list[str] = []

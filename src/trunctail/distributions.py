@@ -41,6 +41,12 @@ _MAX_UNIT_EXP_DRAW = 53 * math.log(2.0)
 _H_STREAM = 0
 _L_STREAM = 1
 
+# Philox yields 4 64-bit words per counter step, and each light value uses
+# one word (one rng.random double), so skipping a whole block of light values
+# is a counter advance of _BLOCK // _PHILOX_WORDS steps.
+_PHILOX_WORDS = 4
+_BLOCK = 4096
+
 
 def _require_positive(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -98,7 +104,10 @@ class Pareto:
         )
 
     def _inverse_survival(self, u: np.ndarray) -> np.ndarray:
-        return self.xmin * u ** (-1.0 / self.alpha)
+        """Transform survival probabilities u in (0, 1] into draws, in place."""
+        u **= -1.0 / self.alpha
+        u *= self.xmin
+        return u
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,12 @@ class Burr:
         return t**-self.tau / (self.tau * self.lam)
 
     def _inverse_survival(self, u: np.ndarray) -> np.ndarray:
-        return np.expm1(np.log(u) / -self.lam) ** (1.0 / self.tau)
+        """Transform survival probabilities u in (0, 1] into draws, in place."""
+        np.log(u, out=u)
+        u /= -self.lam
+        np.expm1(u, out=u)
+        u **= 1.0 / self.tau
+        return u
 
 
 TailModel = Pareto | Burr
@@ -170,6 +184,7 @@ class Zero:
     """Degenerate excess: L = 0 always."""
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n zeros; draws nothing from rng."""
         return np.zeros(n)
 
 
@@ -185,7 +200,8 @@ class Exponential:
             raise ValueError(f"rate must be large enough for finite draws, got {self.rate!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # inversion of one uniform per draw: -log(1 - U)/rate
+        """n excesses by inversion, -log(1 - U)/rate; value i comes from the
+        i-th double of one rng.random(n) call."""
         return -np.log1p(-rng.random(n)) / self.rate
 
 
@@ -199,9 +215,14 @@ class Uniform:
         _require_positive("b", self.b)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n excesses b * U; value i comes from the i-th double of one
+        rng.random(n) call."""
         return self.b * rng.random(n)
 
 
+# Contract of every light model: sample(rng, n) computes value i elementwise
+# from the i-th double of one rng.random(n) call, in order, or draws nothing.
+# sample_truncated relies on it to skip the parts of the stream it does not use.
 LightTailModel = Zero | Exponential | Uniform
 
 
@@ -220,7 +241,15 @@ class TruncationScheme:
         """M_n in floating point; a level, never rounded to a count."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        return self.A * float(n) ** self.delta
+        try:
+            m = self.A * float(n) ** self.delta
+        except OverflowError:  # float ** float raises where float * float gives inf
+            m = math.inf
+        if not math.isfinite(m):
+            raise ValueError(
+                f"M_n = A * n**delta overflows at n = {n}: A = {self.A!r}, delta = {self.delta!r}"
+            )
+        return m
 
 
 @dataclass(frozen=True)
@@ -244,18 +273,34 @@ def sample_tail(model: TailModel, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_seed(seed)
-    u = 1.0 - _stream(seed, _H_STREAM).random(n)  # in (0, 1], so no infinities
+    u = _stream(seed, _H_STREAM).random(n)
+    np.subtract(1.0, u, out=u)  # in (0, 1], so no infinities
     return model._inverse_survival(u)
 
 
 def sample_truncated(spec: TruncatedSampleSpec) -> SampleData:
     """Apply the threshold rule to raw heavy draws:
-    X = H if H <= M_n else M_n + L, with H and L on independent streams."""
+    X = H if H <= M_n else M_n + L, with H and L on independent streams.
+
+    Position j of the light stream holds the excess for position j of the
+    sample, as if all n excesses were drawn; only the blocks that hold a
+    capped position are drawn, and the stream is advanced past the others.
+    """
     m = spec.truncation.threshold(spec.n)
     heavy = sample_tail(spec.tail, spec.n, spec.seed)
-    light = spec.light.sample(_stream(spec.seed, _L_STREAM), spec.n)
     big = heavy > m
-    heavy[big] = m + light[big]
+    marked = np.logical_or.reduceat(big, np.arange(0, spec.n, _BLOCK))
+    # runs of consecutive marked blocks, as [start, stop) sample positions
+    edges = (np.flatnonzero(np.diff(marked, prepend=False, append=False)) * _BLOCK).tolist()
+    rng = _stream(spec.seed, _L_STREAM)
+    drawn = 0  # light values the stream has produced so far
+    for lo, hi in zip(edges[0::2], edges[1::2]):
+        hi = min(hi, spec.n)
+        rng.bit_generator.advance((lo - drawn) // _PHILOX_WORDS)
+        light = spec.light.sample(rng, hi - lo)
+        sel = big[lo:hi]
+        heavy[lo:hi][sel] = m + light[sel]
+        drawn = hi
     return SampleData(heavy)
 
 

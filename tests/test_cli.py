@@ -117,6 +117,13 @@ class TestDiagnoseCommand:
         assert proc.returncode == 2
         assert "rho" in proc.stderr
 
+    def test_overflowing_exponent_product_exits_two(self):
+        proc = run_cli("diagnose", "--alpha", "1e300", "--rho", "-1", "--beta", "0.5", "--delta", "1e10")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "alpha = 1e+300, delta = 10000000000.0" in proc.stderr
+        assert "inf" not in proc.stderr
+
     @pytest.mark.parametrize("flag", ["--alpha", "--delta"])
     def test_infinite_exponent_rejected(self, flag):
         args = {"--alpha": "1", "--rho": "-1", "--beta": "0.5", "--delta": "0.6", flag: "inf"}
@@ -184,6 +191,37 @@ class TestSimulateCommand:
         )
         assert proc.returncode == 2
         assert "unknown key" in proc.stderr
+
+    def test_file_matches_per_value_repr(self, tmp_path):
+        from trunctail import TruncatedSampleSpec, parse_light_model, sample_truncated
+        from trunctail import parse_tail_model, parse_truncation
+
+        out = tmp_path / "s.csv"
+        proc = run_cli(
+            "simulate", "--tail", "pareto:alpha=1", "--light", "exp:rate=1",
+            "--trunc", "A=1,delta=0.5", "--n", "5000", "--seed", "4", "--output", str(out),
+        )
+        assert proc.returncode == 0
+        spec = TruncatedSampleSpec(
+            parse_tail_model("pareto:alpha=1"), parse_light_model("exp:rate=1"),
+            parse_truncation("A=1,delta=0.5"), 5000, 4,
+        )
+        values = sample_truncated(spec).values
+        assert out.read_text() == "x\n" + "".join(repr(float(v)) + "\n" for v in values)
+
+    @pytest.mark.parametrize("trunc, named", [
+        ("A=1,delta=1000", "A = 1.0, delta = 1000.0"),
+        ("A=1e308,delta=1", "A = 1e+308, delta = 1.0"),
+    ])
+    def test_overflowing_threshold_exits_two(self, trunc, named):
+        proc = run_cli(
+            "simulate", "--tail", "pareto:alpha=2", "--light", "zero",
+            "--trunc", trunc, "--n", "100",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"M_n = A * n**delta overflows at n = 100: {named}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_overflowing_light_rate_exits_two(self):
         proc = run_cli(

@@ -78,6 +78,12 @@ class TestReportForParameters:
         with pytest.raises(ValueError, match="rho"):
             report_for_parameters(alpha=1.0, rho=0.1, beta=0.5, delta=0.5)
 
+    def test_overflowing_exponent_product_rejected(self):
+        # alpha*delta is finite but times (2 - beta) it is not
+        for alpha, delta in ((1e300, 1e10), (1e300, 1.5e8)):
+            with pytest.raises(ValueError, match=r"overflows: alpha = .*, delta = "):
+                report_for_parameters(alpha=alpha, rho=-1.0, beta=0.5, delta=delta)
+
     def test_serialization_keys(self):
         doc = report_for_parameters(alpha=1.0, rho=-1.0, beta=0.8, delta=0.9).to_dict()
         assert list(doc) == [

@@ -1,4 +1,6 @@
 import math
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from trunctail import (
     Burr,
     Exponential,
+    LightTailModel,
     Pareto,
     TruncatedSampleSpec,
     TruncationScheme,
@@ -19,6 +22,7 @@ from trunctail import (
     sample_tail,
     sample_truncated,
 )
+from trunctail.distributions import _BLOCK, _stream
 
 
 class TestSurvival:
@@ -170,6 +174,20 @@ class TestSampleTail:
         p = 0.1
         assert abs(np.mean(draws > 10.0) - p) < 3 * math.sqrt(p * (1 - p) / 1e6)
 
+    @pytest.mark.parametrize("model, transform", [
+        (Pareto(alpha=1), lambda u: 1.0 * u ** (-1.0 / 1.0)),
+        (Pareto(alpha=2, xmin=3), lambda u: 3.0 * u ** (-1.0 / 2.0)),
+        (Pareto(alpha=0.7), lambda u: 1.0 * u ** (-1.0 / 0.7)),
+        (Burr(tau=1, lam=2), lambda u: np.expm1(np.log(u) / -2.0) ** (1.0 / 1.0)),
+        (Burr(tau=0.5, lam=3), lambda u: np.expm1(np.log(u) / -3.0) ** (1.0 / 0.5)),
+    ])
+    def test_matches_out_of_place_inversion(self, model, transform):
+        # the in-place transform equals the closed-form inverse survival
+        # applied to 1 - U on fresh arrays, bit for bit
+        for seed in (0, 2**64 - 1):
+            u = 1.0 - _stream(seed, 0).random(5000)
+            assert sample_tail(model, 5000, seed).tobytes() == transform(u).tobytes()
+
 
 class TestSampleTruncated:
     def _spec(self, **kw):
@@ -236,6 +254,65 @@ class TestSampleTruncated:
             self._spec(seed=2**64)
 
 
+@dataclass(frozen=True)
+class CountingExponential(Exponential):
+    """Exponential excess that records how many values each call draws."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def sample(self, rng, n):
+        self.calls.append(n)
+        return super().sample(rng, n)
+
+
+class TestLightDrawsOnlyWhereCapped:
+    """sample_truncated draws light excesses only in the blocks that hold a
+    capped position and advances the stream past the rest; the result must
+    equal the straight-line rule that draws all n excesses."""
+
+    # Pareto(1, 1) with delta ~ 0 caps each value with probability ~ 1/A
+    CAPPING = {"none": 1e300, "sparse": 1e4, "dense": 3.0, "total": 0.5}
+
+    @classmethod
+    def _spec(cls, light, n, seed, capping):
+        trunc = TruncationScheme(A=cls.CAPPING[capping], delta=1e-12)
+        return TruncatedSampleSpec(Pareto(alpha=1), light, trunc, n, seed)
+
+    @staticmethod
+    def _reference(spec):
+        m = spec.truncation.threshold(spec.n)
+        heavy = sample_tail(spec.tail, spec.n, spec.seed)
+        big = heavy > m
+        heavy[big] = m + spec.light.sample(_stream(spec.seed, 1), spec.n)[big]
+        return heavy
+
+    # every light model: one that used more than one uniform per value would
+    # no longer line up with the skipped blocks and fail here
+    @pytest.mark.parametrize("light_cls", typing.get_args(LightTailModel))
+    @pytest.mark.parametrize("capping", list(CAPPING))
+    def test_matches_drawing_every_excess(self, light_cls, capping):
+        for n in (1, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 10**5):
+            for seed in (0, 2**64 - 1):
+                spec = self._spec(light_cls(), n, seed, capping)
+                got = sample_truncated(spec).values
+                assert got.tobytes() == self._reference(spec).tobytes(), (n, seed)
+
+    def test_draw_count(self):
+        n = 10**5
+        for capping in ("none", "sparse", "total"):
+            light = CountingExponential()
+            spec = self._spec(light, n, 3, capping)
+            m = spec.truncation.threshold(n)
+            capped = int(np.count_nonzero(sample_tail(spec.tail, n, spec.seed) > m))
+            sample_truncated(spec)
+            drawn = sum(light.calls)
+            assert drawn <= _BLOCK * capped
+            if capping == "sparse":
+                assert 0 < capped and drawn < n
+            if capping == "total":
+                assert capped == n and light.calls == [n]
+
+
 class TestModelValidation:
     @pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf])
     def test_positive_fields(self, bad):
@@ -256,6 +333,14 @@ class TestModelValidation:
         # the largest draw, 53*log(2)/rate, is still finite here
         draws = Exponential(rate=1e-300).sample(np.random.default_rng(0), 1000)
         assert np.all(np.isfinite(draws))
+
+    def test_threshold_overflow_rejected(self):
+        # float ** float raises OverflowError; A * n**delta can reach inf
+        with pytest.raises(ValueError, match=r"overflows at n = 100: A = 1.0, delta = 1000.0"):
+            TruncationScheme(A=1.0, delta=1000.0).threshold(100)
+        with pytest.raises(ValueError, match=r"overflows at n = 10: A = 1e\+308, delta = 1.0"):
+            TruncationScheme(A=1e308, delta=1.0).threshold(10)
+        assert TruncationScheme(A=1, delta=1000).threshold(1) == 1.0
 
     def test_threshold_increases(self):
         t = TruncationScheme(A=2.0, delta=0.5)
