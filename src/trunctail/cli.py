@@ -202,7 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagnose", help="check the exponent validity windows")
     p_diag.add_argument("--alpha", type=float, required=True, help="tail index > 0")
-    p_diag.add_argument("--rho", type=float, required=True, help="second-order exponent < 0")
+    p_diag.add_argument("--rho", type=float, default=None,
+                        help="second-order exponent < 0 (omit for an exact-Pareto tail)")
     p_diag.add_argument("--beta", type=float, required=True, help="adaptive count exponent in (0,1)")
     p_diag.add_argument("--delta", type=float, required=True, help="threshold growth exponent > 0")
     p_diag.set_defaults(func=_cmd_diagnose)

@@ -53,8 +53,13 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer; bool is excluded though it subclasses int."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_seed(seed: int) -> None:
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < _MAX_SEED):
+    if not (_is_int(seed) and 0 <= seed < _MAX_SEED):
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
@@ -263,7 +268,7 @@ class TruncatedSampleSpec:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         _check_seed(self.seed)
 
@@ -287,20 +292,26 @@ def sample_truncated(spec: TruncatedSampleSpec) -> SampleData:
     capped position are drawn, and the stream is advanced past the others.
     """
     m = spec.truncation.threshold(spec.n)
-    heavy = sample_tail(spec.tail, spec.n, spec.seed)
-    big = heavy > m
-    marked = np.logical_or.reduceat(big, np.arange(0, spec.n, _BLOCK))
-    # runs of consecutive marked blocks, as [start, stop) sample positions
-    edges = (np.flatnonzero(np.diff(marked, prepend=False, append=False)) * _BLOCK).tolist()
-    rng = _stream(spec.seed, _L_STREAM)
-    drawn = 0  # light values the stream has produced so far
-    for lo, hi in zip(edges[0::2], edges[1::2]):
-        hi = min(hi, spec.n)
-        rng.bit_generator.advance((lo - drawn) // _PHILOX_WORDS)
-        light = spec.light.sample(rng, hi - lo)
-        sel = big[lo:hi]
-        heavy[lo:hi][sel] = m + light[sel]
-        drawn = hi
+    # A heavy draw that overflows is +inf, which is above M_n and so always
+    # replaced; only an overflowing M_n + L is an error.
+    with np.errstate(over="ignore"):
+        heavy = sample_tail(spec.tail, spec.n, spec.seed)
+        big = heavy > m
+        marked = np.logical_or.reduceat(big, np.arange(0, spec.n, _BLOCK))
+        # runs of consecutive marked blocks, as [start, stop) sample positions
+        edges = (np.flatnonzero(np.diff(marked, prepend=False, append=False)) * _BLOCK).tolist()
+        rng = _stream(spec.seed, _L_STREAM)
+        drawn = 0  # light values the stream has produced so far
+        for lo, hi in zip(edges[0::2], edges[1::2]):
+            hi = min(hi, spec.n)
+            rng.bit_generator.advance((lo - drawn) // _PHILOX_WORDS)
+            light = spec.light.sample(rng, hi - lo)
+            sel = big[lo:hi]
+            capped = m + light[sel]
+            if not np.all(np.isfinite(capped)):
+                raise ValueError(f"M_n + L overflows: M_n = {m!r}, light = {spec.light!r}")
+            heavy[lo:hi][sel] = capped
+            drawn = hi
     return SampleData(heavy)
 
 

@@ -43,7 +43,7 @@ class SampleData:
     sample is fully sorted only if a caller asks for ``ordered``.
     """
 
-    __slots__ = ("values", "maximum", "_top")
+    __slots__ = ("values", "maximum")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)
@@ -55,36 +55,24 @@ class SampleData:
             raise ValueError("sample values must be nonnegative")
         self.values = arr
         self.maximum = float(arr.max())
-        self._top = arr[:0]
 
     @property
     def n(self) -> int:
         return self.values.size
 
     def top(self, k: int) -> np.ndarray:
-        """The k largest values in descending order, as a read-only array.
-
-        The largest k requested so far stay cached, so a smaller k is a
-        slice. The cache is replaced only once fully built, so a concurrent
-        reader sees the old array or the new one, never a partial one.
-        """
+        """The k largest values in descending order, as a read-only array."""
         n = self.values.size
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        top = self._top
-        if top.size < k:
-            top = np.sort(np.partition(self.values, n - k)[n - k:])[::-1]
-            top.flags.writeable = False
-            self._top = top
-        return top[:k]
+        top = np.sort(np.partition(self.values, n - k)[n - k:])[::-1]
+        top.flags.writeable = False
+        return top
 
     @property
     def ordered(self) -> np.ndarray:
         """All n values in descending order."""
         return self.top(self.n)
-
-    def __len__(self) -> int:
-        return self.values.size
 
     def __repr__(self) -> str:
         return f"SampleData(n={self.n}, max={self.maximum!r})"
@@ -227,8 +215,9 @@ def estimate(
     )
 
 
-def hill_curve(sample: SampleData, k_min: int, k_max: int) -> list[tuple[int, float]]:
-    """h(k, n) for every k in [k_min, k_max] in one prefix-sum pass, O(k_max)."""
+def hill_curve(sample: SampleData, k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (ks, hs) with hs[i] = h(ks[i], n) for every k in [k_min, k_max],
+    from one prefix-sum pass, O(k_max)."""
     n = sample.n
     if not 1 <= k_min <= k_max <= n:
         raise ValueError(f"need 1 <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]")
@@ -239,4 +228,4 @@ def hill_curve(sample: SampleData, k_min: int, k_max: int) -> list[tuple[int, fl
     prefix = np.cumsum(logs)
     ks = np.arange(k_min, k_max + 1)
     hs = prefix[ks - 1] / ks - logs[ks - 1]
-    return list(zip(ks.tolist(), hs.tolist()))
+    return ks, hs

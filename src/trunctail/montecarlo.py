@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _MAX_SEED, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
+from .distributions import _MAX_SEED, _is_int, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
 from .estimator import (
     AdaptiveParams,
     DegenerateSampleError,
@@ -39,11 +39,6 @@ __all__ = [
 
 class ExperimentError(RuntimeError):
     """Every replication failed; no aggregate can be formed."""
-
-
-def _is_int(x) -> bool:
-    """A Python or numpy integer; bool is excluded though it subclasses int."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def replication_seed(base_seed: int, n: int, index: int) -> int:

@@ -183,10 +183,10 @@ class TestCriterion1ClosedForms:
         with pytest.raises(DegenerateSampleError):
             estimate(SampleData([5.0] * 50), AdaptiveParams(beta=0.5, gamma=0.5))
 
-        curve = hill_curve(s, 1, 2)
-        assert curve[0] == (1, 0.0)
-        assert curve[1][1] == pytest.approx(math.log(2) / 2, abs=1e-12)
-        assert curve[1][1] == pytest.approx(hill_statistic(s, 2), abs=1e-12)
+        ks, hs = hill_curve(s, 1, 2)
+        assert (ks[0], hs[0]) == (1, 0.0)
+        assert hs[1] == pytest.approx(math.log(2) / 2, abs=1e-12)
+        assert hs[1] == pytest.approx(hill_statistic(s, 2), abs=1e-12)
 
     def test_diagnostics_closed_forms(self):
         rep = check_assumptions(Pareto(alpha=1), TruncationScheme(1, 0.8), 0.5)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trunctail import Burr, replication_seed
+from trunctail import Burr, replication_seed, report_for_parameters
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -124,6 +124,12 @@ class TestDiagnoseCommand:
         assert "alpha = 1e+300, delta = 10000000000.0" in proc.stderr
         assert "inf" not in proc.stderr
 
+    def test_rho_omitted_is_exact_pareto(self):
+        proc = run_cli("diagnose", "--alpha", "1", "--beta", "0.2", "--delta", "0.9")
+        assert proc.returncode == 0, proc.stderr
+        want = report_for_parameters(1, None, 0.2, 0.9).to_dict()
+        assert json.loads(proc.stdout) == json.loads(json.dumps(want))
+
     @pytest.mark.parametrize("flag", ["--alpha", "--delta"])
     def test_infinite_exponent_rejected(self, flag):
         args = {"--alpha": "1", "--rho": "-1", "--beta": "0.5", "--delta": "0.6", flag: "inf"}
@@ -232,6 +238,29 @@ class TestSimulateCommand:
         assert proc.stdout == ""
         assert "rate must be" in proc.stderr
         assert "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("tail", ["pareto:alpha=0.001", "burr:tau=1,lambda=1e-5"])
+    def test_overflowing_heavy_draws_are_capped_silently(self, tail):
+        proc = run_cli(
+            "simulate", "--tail", tail, "--light", "exp:rate=1",
+            "--trunc", "A=1,delta=0.5", "--n", "5", "--seed", "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        values = [float(v) for v in proc.stdout.split()[1:]]
+        assert len(values) == 5
+        assert all(5**0.5 < v < math.inf for v in values)
+
+    def test_overflowing_capped_value_exits_two(self):
+        proc = run_cli(
+            "simulate", "--tail", "pareto:alpha=2,xmin=1e308", "--light", "uniform:b=1e308",
+            "--trunc", "A=1e308,delta=0.01", "--n", "5", "--seed", "1",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: M_n + L overflows: M_n = 1.0162245912673255e+308, light = Uniform(b=1e+308)\n"
+        )
 
 
 class TestExperimentCommand:

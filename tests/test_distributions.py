@@ -248,6 +248,10 @@ class TestSampleTruncated:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="n must be"):
             self._spec(n=0)
+        with pytest.raises(ValueError, match="n must be"):
+            self._spec(n=True)
+        with pytest.raises(ValueError, match="seed"):
+            self._spec(seed=True)
         with pytest.raises(ValueError, match="seed"):
             self._spec(seed=-1)
         with pytest.raises(ValueError, match="seed"):

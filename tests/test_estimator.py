@@ -126,8 +126,10 @@ class TestTopK:
             return
         logs = np.log(desc[:k_max])
         prefix = np.cumsum(logs)
-        want = [(k, prefix[k - 1] / k - logs[k - 1]) for k in range(k_min, k_max + 1)]
-        assert hill_curve(s, k_min, k_max) == want
+        want = [prefix[k - 1] / k - logs[k - 1] for k in range(k_min, k_max + 1)]
+        ks, hs = hill_curve(s, k_min, k_max)
+        assert np.array_equal(ks, np.arange(k_min, k_max + 1))
+        assert hs.tolist() == want
 
 
 class TestHillStatistic:
@@ -297,23 +299,23 @@ class TestEstimate:
 
 class TestHillCurve:
     def test_hand_example(self):
-        curve = hill_curve(SampleData([8, 4, 2, 1]), 1, 2)
-        assert curve[0] == (1, 0.0)
-        assert curve[1][0] == 2
-        assert curve[1][1] == pytest.approx(LOG2 / 2, abs=1e-12)
+        ks, hs = hill_curve(SampleData([8, 4, 2, 1]), 1, 2)
+        assert (ks[0], hs[0]) == (1, 0.0)
+        assert ks[1] == 2
+        assert hs[1] == pytest.approx(LOG2 / 2, abs=1e-12)
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             s = SampleData(rng.pareto(1.5, 400) + 1.0)
-            curve = dict(hill_curve(s, 1, 300))
+            curve = dict(zip(*hill_curve(s, 1, 300)))
             for k in (1, 7, 100, 300):
                 assert curve[k] == pytest.approx(hill_statistic(s, k), abs=1e-12)
 
     def test_consistent_at_adaptive_count(self):
         s = SampleData(sample_tail(Pareto(alpha=1), 2000, seed=8))
         k_hat = adaptive_k(s, AdaptiveParams(beta=0.7, gamma=0.5))
-        curve = dict(hill_curve(s, 1, k_hat))
+        curve = dict(zip(*hill_curve(s, 1, k_hat)))
         assert curve[k_hat] == pytest.approx(hill_statistic(s, k_hat), abs=1e-12)
 
     def test_range_validation(self):
