@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimator import AdaptiveParams, SampleData, v_count
+from .estimator import AdaptiveParams, SampleData, _adopt, v_count
 
 __all__ = [
     "HOLDS",
@@ -190,9 +190,8 @@ def c_statistic_trend(sample: SampleData, params: AdaptiveParams) -> CStatisticT
     if n < 4:
         raise ValueError(f"need n >= 4 for a prefix trend, got {n}")
     sizes = sorted({n // 4, n // 2, n})
-    values = [
-        sample_c_statistic(SampleData(sample.values[:m]), params) for m in sizes
-    ]
+    # prefixes of a checked sample need no copy and no second check
+    values = [sample_c_statistic(_adopt(sample.values[:m]), params) for m in sizes]
     decreasing = all(later < earlier for earlier, later in zip(values, values[1:]))
     return CStatisticTrend(
         sizes=tuple(sizes),

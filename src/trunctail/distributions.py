@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import SampleData
+from .estimator import SampleData, _adopt, _TailTooShort
 
 __all__ = [
     "Pareto",
@@ -273,46 +273,96 @@ class TruncatedSampleSpec:
         _check_seed(self.seed)
 
 
+def _survivals(n: int, seed: int) -> np.ndarray:
+    """The survival probabilities s = 1 - U of the n heavy draws, in (0, 1]."""
+    u = _stream(seed, _H_STREAM).random(n)
+    np.subtract(1.0, u, out=u)
+    return u
+
+
 def sample_tail(model: TailModel, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. heavy-tail draws by inverse-survival sampling, one uniform each."""
+    """n i.i.d. heavy-tail draws by inverse-survival sampling, one uniform each.
+
+    A draw beyond the float range is +inf, which ``sample_truncated`` always
+    caps, since every threshold M_n is finite.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_seed(seed)
-    u = _stream(seed, _H_STREAM).random(n)
-    np.subtract(1.0, u, out=u)  # in (0, 1], so no infinities
-    return model._inverse_survival(u)
+    with np.errstate(over="ignore"):
+        return model._inverse_survival(_survivals(n, seed))
 
 
 def sample_truncated(spec: TruncatedSampleSpec) -> SampleData:
     """Apply the threshold rule to raw heavy draws:
     X = H if H <= M_n else M_n + L, with H and L on independent streams.
-
-    Position j of the light stream holds the excess for position j of the
-    sample, as if all n excesses were drawn; only the blocks that hold a
-    capped position are drawn, and the stream is advanced past the others.
     """
-    m = spec.truncation.threshold(spec.n)
-    # A heavy draw that overflows is +inf, which is above M_n and so always
-    # replaced; only an overflowing M_n + L is an error.
+    return _truncated(spec, 1.0)
+
+
+def _truncated(spec: TruncatedSampleSpec, s_cut: float) -> SampleData:
+    """The truncated sample of spec, or, for s_cut < 1, only its top: the
+    values whose heavy draw has survival probability s <= s_cut, above a floor.
+
+    The tail holds the same values as the whole sample at the same positions,
+    since both transform the same uniforms elementwise. Position j of the
+    light stream holds the excess for position j of the sample, as if all n
+    excesses were drawn; only the blocks that hold a capped position are
+    drawn, and the stream is advanced past the others.
+    """
+    n = spec.n
+    m = spec.truncation.threshold(n)
+    # overflowing heavy draws are +inf and get capped; only an overflowing
+    # M_n + L is an error
     with np.errstate(over="ignore"):
-        heavy = sample_tail(spec.tail, spec.n, spec.seed)
-        big = heavy > m
-        marked = np.logical_or.reduceat(big, np.arange(0, spec.n, _BLOCK))
+        if s_cut >= 1.0:
+            heavy, where = sample_tail(spec.tail, n, spec.seed), None
+        else:
+            # a value left out is at most the floor, unless it was capped
+            floor = _tail_floor(spec.tail, s_cut)
+            if floor >= m:
+                raise _TailTooShort(f"floor {floor!r} is not below M_n = {m!r}")
+            s = _survivals(n, spec.seed)
+            where = np.flatnonzero(s <= s_cut)
+            heavy = spec.tail._inverse_survival(s[where])
+        big = np.flatnonzero(heavy > m)
+        capped = big if where is None else where[big]  # ascending sample positions
+        marked = np.zeros(-(-n // _BLOCK), dtype=bool)
+        marked[capped // _BLOCK] = True
         # runs of consecutive marked blocks, as [start, stop) sample positions
         edges = (np.flatnonzero(np.diff(marked, prepend=False, append=False)) * _BLOCK).tolist()
         rng = _stream(spec.seed, _L_STREAM)
         drawn = 0  # light values the stream has produced so far
+        done = 0  # capped positions filled so far
         for lo, hi in zip(edges[0::2], edges[1::2]):
-            hi = min(hi, spec.n)
+            hi = min(hi, n)
             rng.bit_generator.advance((lo - drawn) // _PHILOX_WORDS)
             light = spec.light.sample(rng, hi - lo)
-            sel = big[lo:hi]
-            capped = m + light[sel]
-            if not np.all(np.isfinite(capped)):
+            stop = int(np.searchsorted(capped, hi))
+            bumped = m + light[capped[done:stop] - lo]
+            if not np.all(np.isfinite(bumped)):
                 raise ValueError(f"M_n + L overflows: M_n = {m!r}, light = {spec.light!r}")
-            heavy[lo:hi][sel] = capped
-            drawn = hi
-    return SampleData(heavy)
+            heavy[big[done:stop]] = bumped
+            drawn, done = hi, stop
+    # The whole sample keeps its checked copy: handed over uncopied, it left
+    # a heap on which the tail-scan benchmark's passes ran slower.
+    return SampleData(heavy) if where is None else _adopt(heavy, n, floor)
+
+
+def _tail_floor(model: TailModel, s_cut: float) -> float:
+    """A level at or above every draw whose survival probability exceeds s_cut.
+
+    Such a draw lies below the transform of s_cut. Each step of
+    _inverse_survival (log, division, expm1, power, product) is monotone up
+    to a few ulps of its result. The log step errs by a few ulps of
+    |log s| <= 745, far less than the shift of log s by the relative margin
+    1e-9 that shrinking s_cut makes, and later steps keep that order; the
+    last step's own rounding, a few ulps, is covered by raising the result
+    by the same margin. Overflow gives +inf, which is still a bound.
+    """
+    margin = 1e-9
+    edge = model._inverse_survival(np.array([s_cut * (1.0 - margin)]))
+    return float(edge[0]) * (1.0 + margin)
 
 
 def _parse_fields(body: str, what: str, keys: dict[str, float | None]) -> dict[str, float]:

@@ -35,15 +35,26 @@ class InsufficientTailDataError(ValueError):
     """The adaptive count came out below 2, so there is no log-spacing set."""
 
 
+class _TailTooShort(Exception):
+    """A sample that holds only its top was asked about a level at or below
+    its floor, so the answer needs values it does not hold."""
+
+
 class SampleData:
-    """Nonnegative sample with its maximum and on-demand order statistics.
+    """Nonnegative sample of size n with its maximum and on-demand order statistics.
 
     ``values`` keeps insertion order and ``maximum`` is X_(1); ``top(k)[i]``
     is the (i+1)-th largest value. Estimators need only the top k, so the
     sample is fully sorted only if a caller asks for ``ordered``.
+
+    ``values`` holds every value of the sample above ``floor``. A sample built
+    from its values holds them all and has ``floor = -inf``; the replication
+    harness also builds samples that hold only their top, and a count or an
+    order statistic that would reach down to their floor raises
+    ``_TailTooShort`` instead of answering.
     """
 
-    __slots__ = ("values", "maximum")
+    __slots__ = ("values", "maximum", "n", "floor")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)
@@ -53,19 +64,32 @@ class SampleData:
             raise ValueError("sample values must be finite")
         if arr.min() < 0:
             raise ValueError("sample values must be nonnegative")
-        self.values = arr
-        self.maximum = float(arr.max())
+        self._hold(arr, arr.size, -math.inf)
 
-    @property
-    def n(self) -> int:
-        return self.values.size
+    def _hold(self, values: np.ndarray, n: int, floor: float) -> None:
+        self.values = values
+        self.n = n
+        self.floor = floor
+        self.maximum = float(values.max()) if values.size else floor
+        if not self.maximum > floor:
+            raise _TailTooShort(f"no value above the floor {floor!r}")
+
+    def count_above(self, level: float) -> int:
+        """Strict count of values above level."""
+        if level <= self.floor:
+            raise _TailTooShort(f"level {level!r} is not above the floor {self.floor!r}")
+        return int(np.count_nonzero(self.values > level))
 
     def top(self, k: int) -> np.ndarray:
         """The k largest values in descending order, as a read-only array."""
-        n = self.values.size
-        if not 1 <= k <= n:
-            raise ValueError(f"k must be in [1, {n}], got {k}")
-        top = np.sort(np.partition(self.values, n - k)[n - k:])[::-1]
+        if not 1 <= k <= self.n:
+            raise ValueError(f"k must be in [1, {self.n}], got {k}")
+        size = self.values.size
+        if k > size:
+            raise _TailTooShort(f"k = {k} exceeds the {size} values held")
+        top = np.sort(np.partition(self.values, size - k)[size - k:])[::-1]
+        if top[-1] <= self.floor:
+            raise _TailTooShort(f"X_({k}) is not above the floor {self.floor!r}")
         top.flags.writeable = False
         return top
 
@@ -76,6 +100,15 @@ class SampleData:
 
     def __repr__(self) -> str:
         return f"SampleData(n={self.n}, max={self.maximum!r})"
+
+
+def _adopt(values: np.ndarray, n: int | None = None, floor: float = -math.inf) -> SampleData:
+    """SampleData over ``values`` itself, unchecked, for float arrays that are
+    finite and nonnegative by construction and hold every value of the size-n
+    sample above ``floor``."""
+    sample = SampleData.__new__(SampleData)
+    sample._hold(values, values.size if n is None else n, floor)
+    return sample
 
 
 @dataclass(frozen=True)
@@ -142,7 +175,7 @@ def u_count(sample: SampleData, gamma: float, m: float) -> int:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if not m > 0.0:
         raise ValueError(f"m must be positive, got {m}")
-    return int(np.count_nonzero(sample.values > gamma * m))
+    return sample.count_above(gamma * m)
 
 
 def v_count(sample: SampleData, gamma: float) -> int:

@@ -10,11 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _MAX_SEED, _is_int, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
+from .distributions import _MAX_SEED, _is_int, _truncated, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
 from .estimator import (
     AdaptiveParams,
     DegenerateSampleError,
     InsufficientTailDataError,
+    SampleData,
+    _TailTooShort,
     estimate,
     tilde_k,
     u_count,
@@ -128,13 +130,31 @@ class ExperimentResult:
     reports: dict[int, NormalityReport]
 
 
+# The top of the sample that a replication runs on holds about this many
+# times the oracle count tilde_k of values.
+_CUT_SAFETY = 4
+
+
 def run_replication(spec: ExperimentSpec, n: int, index: int) -> ReplicationResult:
-    """One replication; estimator failures are recorded, not raised."""
+    """One replication; estimator failures are recorded, not raised.
+
+    It runs on the top of the sample, sized from the closed-form oracle count
+    tilde_k(n, n*P(H > gamma*M_n), beta), and is redone on the whole sample
+    from the same streams if it needs more; the result is the same either way.
+    """
     seed = replication_seed(spec.base_seed, n, index)
-    sample = sample_truncated(
-        TruncatedSampleSpec(spec.tail, spec.light, spec.truncation, n, seed)
-    )
+    draw = TruncatedSampleSpec(spec.tail, spec.light, spec.truncation, n, seed)
     m = spec.truncation.threshold(n)
+    expected = math.ceil(n * spec.tail.survival(spec.params.gamma * m))
+    k_oracle = tilde_k(n, min(n, max(1, expected)), spec.params.beta)
+    try:
+        return _replicate(spec, index, _truncated(draw, min(1.0, _CUT_SAFETY * k_oracle / n)), m)
+    except _TailTooShort:
+        return _replicate(spec, index, sample_truncated(draw), m)
+
+
+def _replicate(spec: ExperimentSpec, index: int, sample: SampleData, m: float) -> ReplicationResult:
+    n = sample.n
     u = u_count(sample, spec.params.gamma, m)
     tk = tilde_k(n, u, spec.params.beta)
     try:

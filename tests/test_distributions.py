@@ -22,7 +22,8 @@ from trunctail import (
     sample_tail,
     sample_truncated,
 )
-from trunctail.distributions import _BLOCK, _stream
+from trunctail.distributions import _BLOCK, _stream, _tail_floor, _truncated
+from trunctail.estimator import _TailTooShort
 
 
 class TestSurvival:
@@ -163,6 +164,11 @@ class TestSampleTail:
         with pytest.raises(ValueError, match="n >= 1"):
             sample_tail(Pareto(alpha=1), 0, seed=1)
 
+    def test_overflowing_draws_are_inf_without_warning(self):
+        # tier-1 turns a RuntimeWarning into an error
+        assert np.isinf(sample_tail(Pareto(alpha=0.001), 3, 1)).any()
+        assert np.isinf(sample_tail(Burr(tau=1, lam=1e-5), 3, 1)).all()
+
     def test_burr_empirical_survival(self):
         # binomial 3-sigma band around the exact survival at x = 1
         draws = sample_tail(Burr(tau=1, lam=2), 10**6, seed=99)
@@ -269,6 +275,15 @@ class CountingExponential(Exponential):
         return super().sample(rng, n)
 
 
+def drawing_every_excess(spec):
+    """The straight-line threshold rule: all n heavy draws and all n excesses."""
+    m = spec.truncation.threshold(spec.n)
+    heavy = sample_tail(spec.tail, spec.n, spec.seed)
+    big = heavy > m
+    heavy[big] = m + spec.light.sample(_stream(spec.seed, 1), spec.n)[big]
+    return heavy
+
+
 class TestLightDrawsOnlyWhereCapped:
     """sample_truncated draws light excesses only in the blocks that hold a
     capped position and advances the stream past the rest; the result must
@@ -282,14 +297,6 @@ class TestLightDrawsOnlyWhereCapped:
         trunc = TruncationScheme(A=cls.CAPPING[capping], delta=1e-12)
         return TruncatedSampleSpec(Pareto(alpha=1), light, trunc, n, seed)
 
-    @staticmethod
-    def _reference(spec):
-        m = spec.truncation.threshold(spec.n)
-        heavy = sample_tail(spec.tail, spec.n, spec.seed)
-        big = heavy > m
-        heavy[big] = m + spec.light.sample(_stream(spec.seed, 1), spec.n)[big]
-        return heavy
-
     # every light model: one that used more than one uniform per value would
     # no longer line up with the skipped blocks and fail here
     @pytest.mark.parametrize("light_cls", typing.get_args(LightTailModel))
@@ -299,7 +306,7 @@ class TestLightDrawsOnlyWhereCapped:
             for seed in (0, 2**64 - 1):
                 spec = self._spec(light_cls(), n, seed, capping)
                 got = sample_truncated(spec).values
-                assert got.tobytes() == self._reference(spec).tobytes(), (n, seed)
+                assert got.tobytes() == drawing_every_excess(spec).tobytes(), (n, seed)
 
     def test_draw_count(self):
         n = 10**5
@@ -315,6 +322,78 @@ class TestLightDrawsOnlyWhereCapped:
                 assert 0 < capped and drawn < n
             if capping == "total":
                 assert capped == n and light.calls == [n]
+
+
+generic_tails = st.one_of(
+    st.builds(Pareto, alpha=st.floats(0.2, 6), xmin=st.floats(0.01, 100)),
+    st.builds(Burr, tau=st.floats(0.2, 6), lam=st.floats(0.1, 6)),
+)
+light_models = st.sampled_from([Zero(), Exponential(rate=1.0), Exponential(rate=0.05), Uniform(b=2.0)])
+block_edge_sizes = st.one_of(
+    st.sampled_from([1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    st.integers(1, 30_000),
+)
+# share of draws above M_n ~ A (delta ~ 0): none, sparse, dense or total
+cappings = st.sampled_from([0.0, 1e-3, 0.3, 1.0])
+
+
+def capping_scheme(tail, p: float) -> TruncationScheme:
+    """A threshold that caps about a share p of the heavy draws."""
+    a = 1e300 if p == 0.0 else 1e-300 if p == 1.0 else tail.quantile_b(1.0 / p)
+    return TruncationScheme(A=a, delta=1e-12)
+
+
+class TestTailSample:
+    """_truncated(spec, s_cut) holds the top of the sample that
+    sample_truncated(spec) draws: the same values at the positions whose
+    heavy survival probability is at most s_cut, and every other value lies
+    at or below its floor."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(generic_tails, light_models, block_edge_sizes, cappings,
+           st.integers(0, 2**64 - 1), st.floats(-9, -1e-6))
+    def test_holds_the_top_of_the_whole_sample(self, tail, light, n, p, seed, log_cut):
+        s_cut = 10.0**log_cut
+        spec = TruncatedSampleSpec(tail, light, capping_scheme(tail, p), n, seed)
+        whole = drawing_every_excess(spec)
+        kept = 1.0 - _stream(seed, 0).random(n) <= s_cut
+        with np.errstate(over="ignore"):
+            floor = _tail_floor(tail, s_cut)
+        try:
+            top = _truncated(spec, s_cut)
+        except _TailTooShort:
+            # it would leave out a capped value, or hold nothing above its floor
+            assert floor >= spec.truncation.threshold(n) or not np.any(whole[kept] > floor)
+            return
+        assert np.all(whole[~kept] <= floor)
+        assert top.values.tobytes() == whole[kept].tobytes()
+        assert (top.n, top.floor, top.maximum) == (n, floor, whole.max())
+
+    # extreme exponents and scales, where log, expm1 and ** lose the most
+    EXTREME = [Pareto(alpha=a, xmin=x) for a in (1e-3, 1.0, 1e6) for x in (1e-300, 1.0, 1e300)]
+    EXTREME += [Burr(tau=t, lam=lam) for t in (1e-3, 1.0, 1e6) for lam in (1e-5, 1.0, 1e6)]
+
+    @pytest.mark.parametrize("tail", EXTREME)
+    @settings(max_examples=25, deadline=None)
+    @given(log_cut=st.floats(-320, -1e-9))
+    def test_floor_bounds_every_value_left_out(self, tail, log_cut):
+        s_cut = 10.0**log_cut
+        # the survival probabilities just above the cut: its next 2000
+        # doubles, then relative steps out to 1e-3
+        ulp = np.spacing(s_cut)
+        s = np.concatenate([s_cut + ulp * np.arange(1, 2001),
+                            s_cut * (1.0 + np.geomspace(1e-12, 1e-3, 200))])
+        s = s[(s > s_cut) & (s <= 1.0)]
+        with np.errstate(over="ignore"):
+            assert np.all(tail._inverse_survival(s) <= _tail_floor(tail, s_cut))
+
+    @pytest.mark.parametrize("a, why", [(1e300, "no value above the floor"),
+                                        (1.0, "is not below M_n")])
+    def test_too_short_tails_raise(self, a, why):
+        # at s_cut = 1e-12 no value of 100 is kept; the floor, 1e12, is above M_n = 10
+        spec = TruncatedSampleSpec(Pareto(alpha=1), Zero(), TruncationScheme(A=a), 100, 1)
+        with pytest.raises(_TailTooShort, match=why):
+            _truncated(spec, 1e-12)
 
 
 class TestModelValidation:

@@ -25,6 +25,7 @@ from trunctail import (
     u_count,
     v_count,
 )
+from trunctail.estimator import _adopt, _TailTooShort
 
 LOG2 = math.log(2.0)
 
@@ -130,6 +131,56 @@ class TestTopK:
         ks, hs = hill_curve(s, k_min, k_max)
         assert np.array_equal(ks, np.arange(k_min, k_max + 1))
         assert hs.tolist() == want
+
+
+class TestTopOnlySample:
+    """A sample holding only the values above its floor answers as the whole
+    sample would, and raises _TailTooShort where the answer needs more."""
+
+    def test_answers_or_raises(self):
+        s = _adopt(np.array([9.0, 3.0, 7.0, 5.0]), n=10, floor=4.0)
+        assert (s.n, s.maximum) == (10, 9.0)
+        assert s.count_above(4.5) == 3
+        with pytest.raises(_TailTooShort):
+            s.count_above(4.0)
+        assert s.top(3).tolist() == [9.0, 7.0, 5.0]
+        with pytest.raises(_TailTooShort):
+            s.top(4)  # X_(4) = 3 is held, but values left out may exceed it
+        with pytest.raises(_TailTooShort):
+            _adopt(np.array([9.0, 7.0]), n=10, floor=4.0).top(3)
+        with pytest.raises(ValueError, match="k must be in"):
+            s.top(11)
+        for held in ([3.0], []):
+            with pytest.raises(_TailTooShort):
+                _adopt(np.array(held), n=10, floor=4.0)
+
+    @given(tied_samples, st.data())
+    def test_matches_the_whole_sample(self, values, data):
+        whole = SampleData(values)
+        x = whole.values
+        floor = data.draw(st.sampled_from(sorted(set(x.tolist()))))
+        # every value above the floor, and any of those at or below it
+        extra = np.array(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+        held = x[(x > floor) | extra]
+        if not np.any(x > floor):
+            with pytest.raises(_TailTooShort):
+                _adopt(held, x.size, floor)
+            return
+        top = _adopt(held, x.size, floor)
+        assert top.maximum == whole.maximum
+        for level in {floor, *x.tolist()}:
+            if level > floor:
+                assert top.count_above(level) == whole.count_above(level)
+            else:
+                with pytest.raises(_TailTooShort):
+                    top.count_above(level)
+        desc = full_sort_desc(x)
+        for k in range(1, x.size + 1):
+            if desc[k - 1] > floor:
+                assert top.top(k).tobytes() == whole.top(k).tobytes()
+            else:
+                with pytest.raises(_TailTooShort):
+                    top.top(k)
 
 
 class TestHillStatistic:

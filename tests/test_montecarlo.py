@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunctail import (
     AdaptiveParams,
@@ -11,14 +14,20 @@ from trunctail import (
     ExperimentSpec,
     Exponential,
     Pareto,
+    TruncatedSampleSpec,
     TruncationScheme,
+    Uniform,
+    Zero,
+    montecarlo,
     normal_quantile,
     qq_points,
     replication_seed,
     run_experiment,
     run_replication,
+    sample_truncated,
 )
-from trunctail.montecarlo import aggregate_json, qq_csv, replications_csv
+from trunctail.distributions import _BLOCK
+from trunctail.montecarlo import _replicate, aggregate_json, qq_csv, replications_csv
 from trunctail.normal import ks_distance
 
 VALID = dict(
@@ -26,6 +35,14 @@ VALID = dict(
     light=Exponential(rate=1.0),
     truncation=TruncationScheme(A=1.0, delta=0.45),
     params=AdaptiveParams(beta=0.8, gamma=0.5),
+)
+
+
+LIMIT = dict(
+    tail=Pareto(alpha=1),
+    light=Exponential(rate=1.0),
+    truncation=TruncationScheme(A=1.0, delta=0.9),
+    params=AdaptiveParams(beta=0.2, gamma=0.5),
 )
 
 
@@ -108,6 +125,117 @@ class TestRunReplication:
         assert r.failed
         assert r.k_hat is None and r.z is None
         assert r.error
+
+
+def whole_sample_replication(spec, n, index):
+    """The replication on the whole sample: the reference for the tail path."""
+    seed = replication_seed(spec.base_seed, n, index)
+    draw = TruncatedSampleSpec(spec.tail, spec.light, spec.truncation, n, seed)
+    return _replicate(spec, index, sample_truncated(draw), spec.truncation.threshold(n))
+
+
+def outcome(replicate, spec, n, index):
+    try:
+        return replicate(spec, n, index)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class CountingFallbacks:
+    """Patches the whole-sample draw that run_replication falls back to."""
+
+    def __init__(self, mp):
+        self.calls = 0
+        draw = montecarlo.sample_truncated
+
+        def counted(spec):
+            self.calls += 1
+            return draw(spec)
+
+        mp.setattr(montecarlo, "sample_truncated", counted)
+
+
+generic_tails = st.one_of(
+    st.builds(Pareto, alpha=st.floats(0.2, 6), xmin=st.floats(0.01, 100)),
+    st.builds(Burr, tau=st.floats(0.2, 6), lam=st.floats(0.1, 6)),
+)
+
+
+class TestTailPath:
+    """run_replication runs on the top of the sample and falls back to the
+    whole sample; either way it must equal the whole-sample replication."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tail=generic_tails,
+        light=st.sampled_from([Zero(), Exponential(rate=1.0), Uniform(b=2.0)]),
+        n=st.one_of(st.sampled_from([2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+                    st.integers(1, 50_000)),
+        # expected capped count: none, sparse, half or all of the sample
+        capped=st.sampled_from(["none", "sparse", "half", "total"]),
+        delta=st.floats(0.05, 1.0),
+        beta=st.floats(0.05, 0.95),
+        gamma=st.floats(0.05, 0.95),
+        base_seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 10**6),
+        # the cut's safety factor: as shipped, tight enough that some
+        # replications fall back, or so small that all do
+        safety=st.sampled_from([montecarlo._CUT_SAFETY, 1.0, 0.25, 1e-12]),
+    )
+    def test_equals_the_whole_sample(self, tail, light, n, capped, delta, beta, gamma,
+                                     base_seed, index, safety):
+        share = {"none": 0.0, "sparse": min(1.0, 3.0 / n), "half": 0.5, "total": 1.0}[capped]
+        m = 1e300 if share == 0.0 else 1e-300 if share == 1.0 else tail.quantile_b(1.0 / share)
+        spec = make_spec(n_list=(n,), replications=1, base_seed=base_seed, tail=tail, light=light,
+                         truncation=TruncationScheme(A=m / n**delta, delta=delta),
+                         params=AdaptiveParams(beta=beta, gamma=gamma))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_CUT_SAFETY", safety)
+            got = outcome(run_replication, spec, n, index)
+        assert got == outcome(whole_sample_replication, spec, n, index)
+
+    @pytest.mark.parametrize("design, message", [
+        # V = 1 at n = 1e4 on the top of the sample: k = 1
+        (dict(tail=Pareto(alpha=0.5), light=Zero(), truncation=TruncationScheme(A=1e300, delta=0.5),
+              params=AdaptiveParams(beta=0.95, gamma=0.9)), "adaptive count k = 1 (V = 1, n = 10000)"),
+        # about 18% exact zeros and k close to n: the whole sample is needed
+        (dict(tail=Burr(tau=0.002, lam=1.0), light=Zero(),
+              truncation=TruncationScheme(A=1e300, delta=1e-9),
+              params=AdaptiveParams(beta=0.01, gamma=0.5)), ") = 0; log ratios are undefined"),
+        # about 10 capped values with excesses up to 1e308 above M_n = 1e308
+        (dict(tail=Pareto(alpha=0.01), light=Uniform(b=1e308),
+              truncation=TruncationScheme(A=1e308, delta=1e-9),
+              params=AdaptiveParams(beta=0.5, gamma=0.5)), "M_n + L overflows"),
+    ])
+    def test_failure_paths_keep_their_messages(self, design, message):
+        n = 10**4
+        spec = ExperimentSpec(n_list=(n,), replications=3, base_seed=1, **design)
+        for index in range(3):
+            got = outcome(run_replication, spec, n, index)
+            assert got == outcome(whole_sample_replication, spec, n, index)
+            assert message in (got[1] if isinstance(got, tuple) else got.error)
+
+    def test_runs_on_the_top_at_the_study_designs(self):
+        # STUDY and LIMIT at n = 1e5 need no fallback; a tiny cut always does
+        with pytest.MonkeyPatch.context() as mp:
+            fallbacks = CountingFallbacks(mp)
+            for design in (VALID, LIMIT):
+                run_experiment(make_spec(n_list=(10**5,), replications=10, **design))
+            assert fallbacks.calls == 0
+            mp.setattr(montecarlo, "_CUT_SAFETY", 1e-12)
+            run_experiment(make_spec(n_list=(10**5,), replications=10))
+            assert fallbacks.calls == 10
+
+    @pytest.mark.parametrize("design, digest", [
+        (VALID, "6d9440b582ecff90fb1251e79a752ed1cba674ac010d9ef5575c83ac802df2c0"),
+        (LIMIT, "e77c8ce741f00335b9ce373688eefa9c9f211adfbf64b361c098e0d0fecc2cee"),
+    ])
+    def test_seeded_outputs_are_pinned(self, design, digest):
+        # frozen while every replication still drew the whole sample
+        res = run_experiment(make_spec(n_list=(10**4, 10**5, 10**6), replications=4,
+                                       base_seed=11, **design))
+        text = replications_csv(res.replications) + aggregate_json(res.reports) + qq_csv(res)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestRunExperiment:
