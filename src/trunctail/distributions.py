@@ -47,6 +47,10 @@ _L_STREAM = 1
 _PHILOX_WORDS = 4
 _BLOCK = 4096
 
+# A replication compares its raw heavy words 2**16 at a time: 512 KB stay in
+# cache, where one array of all n words is 8 MB at n = 1e6.
+_RAW_CHUNK = 2**16
+
 
 def _require_positive(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -273,13 +277,6 @@ class TruncatedSampleSpec:
         _check_seed(self.seed)
 
 
-def _survivals(n: int, seed: int) -> np.ndarray:
-    """The survival probabilities s = 1 - U of the n heavy draws, in (0, 1]."""
-    u = _stream(seed, _H_STREAM).random(n)
-    np.subtract(1.0, u, out=u)
-    return u
-
-
 def sample_tail(model: TailModel, n: int, seed: int) -> np.ndarray:
     """n i.i.d. heavy-tail draws by inverse-survival sampling, one uniform each.
 
@@ -289,8 +286,10 @@ def sample_tail(model: TailModel, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_seed(seed)
+    s = _stream(seed, _H_STREAM).random(n)
+    np.subtract(1.0, s, out=s)  # survival probabilities 1 - U, in (0, 1]
     with np.errstate(over="ignore"):
-        return model._inverse_survival(_survivals(n, seed))
+        return model._inverse_survival(s)
 
 
 def sample_truncated(spec: TruncatedSampleSpec) -> SampleData:
@@ -322,9 +321,8 @@ def _truncated(spec: TruncatedSampleSpec, s_cut: float) -> SampleData:
             floor = _tail_floor(spec.tail, s_cut)
             if floor >= m:
                 raise _TailTooShort(f"floor {floor!r} is not below M_n = {m!r}")
-            s = _survivals(n, spec.seed)
-            where = np.flatnonzero(s <= s_cut)
-            heavy = spec.tail._inverse_survival(s[where])
+            where, s = _tail_survivals(n, spec.seed, s_cut)
+            heavy = spec.tail._inverse_survival(s)
         big = np.flatnonzero(heavy > m)
         capped = big if where is None else where[big]  # ascending sample positions
         marked = np.zeros(-(-n // _BLOCK), dtype=bool)
@@ -347,6 +345,35 @@ def _truncated(spec: TruncatedSampleSpec, s_cut: float) -> SampleData:
     # The whole sample keeps its checked copy: handed over uncopied, it left
     # a heap on which the tail-scan benchmark's passes ran slower.
     return SampleData(heavy) if where is None else _adopt(heavy, n, floor)
+
+
+def _tail_survivals(n: int, seed: int, s_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending positions of the n heavy draws whose survival probability
+    s = 1 - U is at most s_cut, for 0 <= s_cut < 1, and those s.
+
+    Generator.random on Philox turns raw word w into U = (w >> 11) * 2**-53,
+    so s = (2**53 - (w >> 11)) * 2**-53 exactly, and s_cut * 2**53 is exact.
+    Hence s <= s_cut exactly when w >> 11 >= j = 2**53 - floor(s_cut * 2**53),
+    that is when w > (j << 11) - 1, which fits 64 bits also for j = 2**53,
+    where no word qualifies. Each kept s is formed by the same two exact
+    steps as 1 - random(), so it equals that double bit for bit. Every
+    operand next to a uint64 array is a np.uint64, so no comparison is made
+    in float64.
+    """
+    bits = _stream(seed, _H_STREAM).bit_generator
+    j = 2**53 - math.floor(s_cut * 2.0**53)
+    least = np.uint64((j << 11) - 1)
+    where, kept = [], []
+    # consecutive random_raw calls continue one word sequence
+    for lo in range(0, n, _RAW_CHUNK):
+        w = bits.random_raw(min(_RAW_CHUNK, n - lo))
+        i = np.flatnonzero(w > least)
+        where.append(i + lo)
+        kept.append(w[i])
+    s = (np.concatenate(kept) >> np.uint64(11)).astype(float)
+    s *= 2.0**-53
+    np.subtract(1.0, s, out=s)
+    return np.concatenate(where), s
 
 
 def _tail_floor(model: TailModel, s_cut: float) -> float:

@@ -22,7 +22,14 @@ from trunctail import (
     sample_tail,
     sample_truncated,
 )
-from trunctail.distributions import _BLOCK, _stream, _tail_floor, _truncated
+from trunctail.distributions import (
+    _BLOCK,
+    _RAW_CHUNK,
+    _stream,
+    _tail_floor,
+    _tail_survivals,
+    _truncated,
+)
 from trunctail.estimator import _TailTooShort
 
 
@@ -341,6 +348,35 @@ def capping_scheme(tail, p: float) -> TruncationScheme:
     """A threshold that caps about a share p of the heavy draws."""
     a = 1e300 if p == 0.0 else 1e-300 if p == 1.0 else tail.quantile_b(1.0 / p)
     return TruncationScheme(A=a, delta=1e-12)
+
+
+class TestTailSurvivals:
+    """_tail_survivals selects on raw Philox words; it must give the positions
+    where 1 - Generator.random(n) <= s_cut and, bit for bit, those doubles."""
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+                                   _RAW_CHUNK - 1, _RAW_CHUNK, _RAW_CHUNK + 1, 10**5])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_matches_comparing_doubles(self, n, seed):
+        words = _stream(seed, 0).bit_generator.random_raw(n)
+        u = _stream(seed, 0).random(n)
+        # the word-to-double map the selection relies on
+        assert u.tobytes() == ((words >> np.uint64(11)) * 2.0**-53).tobytes()
+        s = 1.0 - u
+        lowest = np.sort(s)[:3]  # one, two and three qualifying words
+        cuts = [0.0, 5e-324, 1e-300, 2.0**-53, 0.5, 1.0 - 2.0**-52, np.nextafter(1.0, 0.0)]
+        # the grid points at and below the smallest drawn s, and the median;
+        # one step either side of each tells floor from ceil and j from j +- 1
+        for grid in (*lowest, lowest - 2.0**-53, np.median(s)):
+            for g in np.atleast_1d(grid):
+                cuts += [g, np.nextafter(g, 0.0), np.nextafter(g, 1.0)]
+        for cut in cuts:
+            where, got = _tail_survivals(n, seed, float(cut))
+            want = np.flatnonzero(s <= cut)
+            assert np.array_equal(where, want), (cut, where.size, want.size)
+            assert got.tobytes() == s[want].tobytes(), cut
+        assert _tail_survivals(n, seed, float(lowest[0]))[0].size == 1
+        assert _tail_survivals(n, seed, float(np.nextafter(lowest[0], 0.0)))[0].size == 0
 
 
 class TestTailSample:
