@@ -4,108 +4,20 @@ The Hill statistic with a sample-adaptive count of top order statistics,
 normal-limit confidence intervals, validity diagnostics for the truncation
 growth regime, and a Monte Carlo harness that checks the normal limit and
 CI coverage at simulation scale.
+
+The package exports every name in each module's ``__all__``.
 """
 
-from .distributions import (
-    Burr,
-    Exponential,
-    LightTailModel,
-    Pareto,
-    TailModel,
-    TruncatedSampleSpec,
-    TruncationScheme,
-    Uniform,
-    Zero,
-    parse_light_model,
-    parse_tail_model,
-    parse_truncation,
-    sample_tail,
-    sample_truncated,
-)
-from .estimator import (
-    AdaptiveParams,
-    DegenerateSampleError,
-    HillEstimate,
-    InsufficientTailDataError,
-    SampleData,
-    adaptive_k,
-    estimate,
-    hill_curve,
-    hill_statistic,
-    tilde_k,
-    u_count,
-    v_count,
-)
-from .diagnostics import (
-    AssumptionReport,
-    CStatisticTrend,
-    beta_feasible_range,
-    c_statistic_trend,
-    check_assumptions,
-    delta_feasible_range,
-    report_for_parameters,
-    sample_c_statistic,
-)
-from .montecarlo import (
-    ExperimentError,
-    ExperimentResult,
-    ExperimentSpec,
-    NormalityReport,
-    ReplicationResult,
-    qq_points,
-    replication_seed,
-    run_experiment,
-    run_replication,
-)
-from .normal import ks_distance, normal_cdf, normal_quantile
+from . import diagnostics, distributions, estimator, montecarlo, normal
+from .diagnostics import *  # noqa: F403
+from .distributions import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .normal import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveParams",
-    "AssumptionReport",
-    "Burr",
-    "CStatisticTrend",
-    "DegenerateSampleError",
-    "Exponential",
-    "ExperimentError",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "HillEstimate",
-    "InsufficientTailDataError",
-    "LightTailModel",
-    "NormalityReport",
-    "Pareto",
-    "ReplicationResult",
-    "SampleData",
-    "TailModel",
-    "TruncatedSampleSpec",
-    "TruncationScheme",
-    "Uniform",
-    "Zero",
-    "adaptive_k",
-    "beta_feasible_range",
-    "c_statistic_trend",
-    "check_assumptions",
-    "delta_feasible_range",
-    "estimate",
-    "hill_curve",
-    "hill_statistic",
-    "ks_distance",
-    "normal_cdf",
-    "normal_quantile",
-    "parse_light_model",
-    "parse_tail_model",
-    "parse_truncation",
-    "qq_points",
-    "replication_seed",
-    "report_for_parameters",
-    "run_experiment",
-    "run_replication",
-    "sample_c_statistic",
-    "sample_tail",
-    "sample_truncated",
-    "tilde_k",
-    "u_count",
-    "v_count",
+    name for module in (diagnostics, distributions, estimator, montecarlo, normal)
+    for name in module.__all__
 ]

@@ -27,6 +27,7 @@ from .estimator import (
     DegenerateSampleError,
     InsufficientTailDataError,
     SampleData,
+    _LEVEL,
     estimate,
 )
 from .montecarlo import (
@@ -50,7 +51,7 @@ def _read_sample_file(path: str) -> list[float]:
     """One nonnegative decimal per line; optional 'x' header; blanks ignored."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -115,16 +116,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_EXPERIMENT_FIELDS = (
-    "tail", "light", "trunc", "beta", "gamma", "level",
-    "n_list", "replications", "base_seed",
-)
+# Each JSON spec field, its converter, and whether it is required; an absent
+# optional field keeps the library's default. Integer fields pass through as
+# parsed, since ExperimentSpec rejects floats and bools.
+_SPEC_FIELDS = {
+    "tail": (lambda v: parse_tail_model(str(v)), True),
+    "light": (lambda v: parse_light_model(str(v)), True),
+    "trunc": (lambda v: parse_truncation(str(v)), True),
+    "beta": (float, False),
+    "gamma": (float, False),
+    "level": (float, False),
+    "n_list": (lambda v: v, True),
+    "replications": (lambda v: v, True),
+    "base_seed": (lambda v: v, True),
+}
 
 
 def _load_experiment_spec(path: str) -> ExperimentSpec:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read spec file {path}: {exc}") from None
     try:
         doc = json.loads(text)
@@ -132,41 +143,22 @@ def _load_experiment_spec(path: str) -> ExperimentSpec:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
-    unknown = set(doc) - set(_EXPERIMENT_FIELDS)
+    unknown = set(doc) - set(_SPEC_FIELDS)
     if unknown:
         raise ValueError(f"{path}: unknown field(s): {', '.join(sorted(unknown))}")
-
-    def field(name: str, convert=lambda v: v, default=None, required: bool = True):
+    kw = {}
+    for name, (convert, required) in _SPEC_FIELDS.items():
         if name not in doc:
             if required:
                 raise ValueError(f"{path}: missing field '{name}'")
-            return default
+            continue
         try:
-            return convert(doc[name])
+            kw[name] = convert(doc[name])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: field '{name}': {exc}") from None
-
-    tail = field("tail", lambda v: parse_tail_model(str(v)))
-    light = field("light", lambda v: parse_light_model(str(v)))
-    trunc = field("trunc", lambda v: parse_truncation(str(v)))
-    beta = field("beta", float, default=0.7, required=False)
-    gamma = field("gamma", float, default=0.5, required=False)
-    level = field("level", float, default=0.95, required=False)
-    # integer fields pass through as parsed; ExperimentSpec rejects floats and bools
-    n_list = field("n_list")
-    replications = field("replications")
-    base_seed = field("base_seed")
     try:
-        return ExperimentSpec(
-            tail=tail,
-            light=light,
-            truncation=trunc,
-            params=AdaptiveParams(beta=beta, gamma=gamma),
-            n_list=n_list,
-            replications=replications,
-            base_seed=base_seed,
-            level=level,
-        )
+        params = AdaptiveParams(**{p: kw.pop(p) for p in ("beta", "gamma") if p in kw})
+        return ExperimentSpec(truncation=kw.pop("trunc"), params=params, **kw)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -194,9 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate 1/alpha from a data file")
     p_est.add_argument("--input", required=True, help="file with one value per line (optional 'x' header)")
-    p_est.add_argument("--beta", type=float, default=0.7, help="adaptive count exponent in (0,1)")
-    p_est.add_argument("--gamma", type=float, default=0.5, help="threshold fraction in (0,1)")
-    p_est.add_argument("--level", type=float, default=0.95, help="confidence level in (0,1)")
+    p_est.add_argument("--beta", type=float, default=AdaptiveParams.beta, help="adaptive count exponent in (0,1)")
+    p_est.add_argument("--gamma", type=float, default=AdaptiveParams.gamma, help="threshold fraction in (0,1)")
+    p_est.add_argument("--level", type=float, default=_LEVEL, help="confidence level in (0,1)")
     p_est.add_argument("--k", type=int, default=None, help="force a classical fixed k instead of the adaptive count")
     p_est.set_defaults(func=_cmd_estimate)
 
@@ -240,6 +232,9 @@ def main(argv=None) -> int:
         return EXIT_EXPERIMENT_FAILED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message gives the shape it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

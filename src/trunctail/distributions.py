@@ -34,6 +34,9 @@ __all__ = [
 
 _MAX_SEED = 2**64
 
+# numpy's largest array length; a larger n could not be held or drawn
+_MAX_N = np.iinfo(np.intp).max
+
 # Largest exponential draw at rate 1: -log(1 - U) with U <= 1 - 2**-53.
 _MAX_UNIT_EXP_DRAW = 53 * math.log(2.0)
 
@@ -62,9 +65,14 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_seed(seed: int) -> None:
+def _check_n(n: int) -> None:
+    if not (_is_int(n) and 1 <= n <= _MAX_N):
+        raise ValueError(f"n must be an integer in [1, {_MAX_N}], got {n!r}")
+
+
+def _check_seed(seed: int, name: str = "seed") -> None:
     if not (_is_int(seed) and 0 <= seed < _MAX_SEED):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -272,8 +280,7 @@ class TruncatedSampleSpec:
     seed: int
 
     def __post_init__(self):
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        _check_n(self.n)
         _check_seed(self.seed)
 
 

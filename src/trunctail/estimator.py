@@ -25,6 +25,9 @@ __all__ = [
     "hill_curve",
 ]
 
+# default CI level of estimate, ExperimentSpec and the CLI
+_LEVEL = 0.95
+
 
 class DegenerateSampleError(ValueError):
     """The sample carries no usable tail information (zero maximum, zero
@@ -205,7 +208,7 @@ def tilde_k(n: int, u: int, beta: float) -> int:
 def estimate(
     sample: SampleData,
     params: AdaptiveParams | None = None,
-    level: float = 0.95,
+    level: float = _LEVEL,
     k: int | None = None,
 ) -> HillEstimate:
     """Hill estimate at the adaptive count (or a forced k), with CI

@@ -10,12 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _MAX_SEED, _is_int, _truncated, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
+from .distributions import _check_n, _check_seed, _is_int, _truncated, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
 from .estimator import (
     AdaptiveParams,
     DegenerateSampleError,
     InsufficientTailDataError,
     SampleData,
+    _LEVEL,
     _TailTooShort,
     estimate,
     tilde_k,
@@ -61,7 +62,7 @@ class ExperimentSpec:
     n_list: tuple[int, ...]
     replications: int
     base_seed: int
-    level: float = 0.95
+    level: float = _LEVEL
 
     def __post_init__(self):
         n_list = tuple(self.n_list) if np.iterable(self.n_list) else None
@@ -70,14 +71,13 @@ class ExperimentSpec:
         object.__setattr__(self, "n_list", tuple(int(n) for n in n_list))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
-        if any(n < 1 for n in self.n_list):
-            raise ValueError(f"every n must be >= 1, got {self.n_list}")
+        for n in self.n_list:
+            _check_n(n)
         if len(set(self.n_list)) != len(self.n_list):
             raise ValueError(f"n_list must not repeat sizes, got {self.n_list}")
         if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
-        if not (_is_int(self.base_seed) and 0 <= self.base_seed < _MAX_SEED):
-            raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
+        _check_seed(self.base_seed, "base_seed")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
 

@@ -380,3 +380,34 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert run_cli("estimate", "--nope", "x").returncode == 2
+
+
+class TestHugeOrUndecodableInput:
+    SIMULATE = ("simulate", "--tail", "pareto:alpha=2", "--light", "zero", "--trunc", "A=1,delta=0.5")
+
+    # 10**15 values ask for 8 PB, beyond any 64-bit address space, so the
+    # allocation fails at once; 10**20 exceeds numpy's largest array length
+    @pytest.mark.parametrize("n", [10**15, 10**20])
+    def test_simulate_huge_n_exits_two_naming_n(self, n):
+        proc = run_cli(*self.SIMULATE, "--n", str(n))
+        assert proc.returncode == 2
+        assert str(n) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_experiment_huge_n_exits_two_naming_n(self, tmp_path):
+        n = 10**20
+        spec = TestExperimentCommand().write_spec(tmp_path, n_list=[n])
+        proc = run_cli("experiment", "--spec", str(spec))
+        assert proc.returncode == 2
+        assert str(n) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--input", "--spec"])
+    def test_undecodable_file_is_named(self, tmp_path, flag):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe1\x00\n\x00")
+        command = "estimate" if flag == "--input" else "experiment"
+        proc = run_cli(command, flag, str(path))
+        assert proc.returncode == 2
+        assert str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,3 +207,13 @@ class TestCStatisticTrend:
     def test_tiny_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 4"):
             c_statistic_trend(SampleData([3, 2, 1]), AdaptiveParams())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: delta_feasible_range(0.0, 0.5), "alpha must be positive, got 0.0"),
+    (lambda: delta_feasible_range(2.0, 1.0), "beta must be in (0, 1), got 1.0"),
+    (lambda: report_for_parameters(2.0, -0.5, 1.0, 0.45), "beta must be in (0, 1), got 1.0"),
+], ids=["delta-window-alpha-0", "delta-window-beta-1", "report-beta-1"])
+def test_error_branches_name_the_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

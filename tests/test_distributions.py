@@ -1,4 +1,5 @@
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 
@@ -505,3 +506,23 @@ class TestGrammar:
             parse_light_model("zero:rate=1")
         with pytest.raises(ValueError, match="duplicate"):
             parse_truncation("A=1,a=2,delta=0.5")
+
+
+# edge branches of the laws, the threshold rule and the grammar: an error
+# names the bad value, an edge value is returned as computed
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Burr(tau=1, lam=2).slowly_varying(0.0), 0.0),
+    # -tau * log(x) > 690, where l(x) ~ x**alpha = x for alpha = 1
+    (lambda: Burr(tau=2, lam=0.5).slowly_varying(1e-200), pytest.approx(1e-200, rel=1e-12)),
+    (lambda: Burr(tau=1, lam=2).second_order_auxiliary(0.0), ValueError("t must be positive, got 0.0")),
+    (lambda: TruncationScheme().threshold(0), ValueError("need n >= 1, got 0")),
+    (lambda: parse_tail_model("pareto:alpha"), ValueError("pareto: expected key=value, got 'alpha'")),
+    (lambda: TruncatedSampleSpec(Pareto(alpha=1), Zero(), TruncationScheme(), 2**63, 0),
+     ValueError(f"got {2**63}")),
+], ids=["burr-l-at-0", "burr-l-underflow", "burr-A-at-0", "threshold-n-0", "grammar-no-value", "n-too-large"])
+def test_edge_and_error_branches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected

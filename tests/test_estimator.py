@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -423,3 +424,12 @@ class TestUntruncatedSanity:
         ]
         tol = 3 * (1 / alpha) / math.sqrt(k * 200)
         assert abs(float(np.mean(hs)) - 1 / alpha) < tol
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: u_count(SampleData([3.0, 2.0, 1.0]), 0.5, 0.0), "m must be positive, got 0.0"),
+    (lambda: tilde_k(0, 0, 0.5), "need n >= 1, got 0"),
+], ids=["u_count-m-0", "tilde_k-n-0"])
+def test_error_branches_name_the_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

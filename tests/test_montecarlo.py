@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,3 +345,14 @@ class TestSerialization:
         lines = qq_csv(res).strip().split("\n")
         assert lines[0] == "n,theoretical_quantile,empirical_quantile"
         assert len(lines) == 5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_spec(n_list=(0,)), "got 0"),
+    # beyond numpy's largest array length, so rejected before any draw
+    (lambda: make_spec(n_list=(100, 2**63)), f"got {2**63}"),
+    (lambda: qq_points([]), "need at least one value"),
+], ids=["n-0", "n-too-large", "qq-empty"])
+def test_error_branches_name_the_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trunctail import ks_distance, normal_cdf, normal_quantile
+from trunctail.normal import _quantile_guess
 
 
 def gauss_quadrature_cdf(x: float) -> float:
@@ -107,3 +108,12 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ks_distance([])
+
+
+# the density at the quantile underflows below 1e-300, so no Newton step
+# runs and the rational guess is returned as it stands
+@pytest.mark.parametrize("p", [5e-324, 1e-320])
+def test_underflowing_density_returns_the_guess(p):
+    x = normal_quantile(p)
+    assert x == _quantile_guess(p)
+    assert x == pytest.approx(bisect_quantile(p), abs=0.02)
