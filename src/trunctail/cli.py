@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .diagnostics import report_for_parameters, sample_c_statistic
 from .distributions import (
     TruncatedSampleSpec,
@@ -46,9 +48,50 @@ EXIT_USAGE = 2
 EXIT_INSUFFICIENT_TAIL = 3
 EXIT_EXPERIMENT_FAILED = 4
 
+# Values per write of `simulate`: about 1.3 MB of text
+_WRITE_CHUNK = 2**16
 
-def _read_sample_file(path: str) -> list[float]:
-    """One nonnegative decimal per line; optional 'x' header; blanks ignored."""
+
+def _read_sample_file(path: str) -> np.ndarray:
+    """One nonnegative decimal per line; optional 'x' header; blanks ignored.
+
+    The whole file goes through one numpy conversion. A file that does not
+    convert cleanly is read again by the line loop, which raises the
+    line-numbered error or reads the blank lines it allows."""
+    try:
+        values = _convert_sample_bytes(Path(path).read_bytes())
+    except OSError:
+        values = None
+    return np.array(_read_sample_lines(path)) if values is None else values
+
+
+def _convert_sample_bytes(data: bytes) -> np.ndarray | None:
+    """Every line after an optional 'x' header as float64, or None where the
+    line loop must decide.
+
+    numpy parses each line as float() parses bytes: ASCII only, with ASCII
+    whitespace around the number. The line loop also breaks lines at vertical
+    tabs and form feeds, which here can only sit in that whitespace, so it
+    reads the same values; the header test strips only spaces and tabs for
+    the same reason. A NUL byte falls back, since numpy's fixed-width strings
+    drop trailing NULs."""
+    lines = data.splitlines()
+    if lines and lines[0].strip(b" \t").lower() == b"x":
+        del lines[0]
+    if not lines or b"\0" in data:
+        return None
+    try:
+        values = np.array(lines, dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (values < 0.0).any():
+        return None
+    return values
+
+
+def _read_sample_lines(path: str) -> list[float]:
+    """The line-by-line reader: the reference for _convert_sample_bytes and
+    the source of every reader error."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -85,8 +128,7 @@ def _env_seed() -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    values = _read_sample_file(args.input)
-    sample = SampleData(values)
+    sample = SampleData(_read_sample_file(args.input))
     params = AdaptiveParams(beta=args.beta, gamma=args.gamma)
     est = estimate(sample, params, level=args.level, k=args.k)
     doc = est.to_dict()
@@ -108,12 +150,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
     spec = TruncatedSampleSpec(tail, light, trunc, args.n, seed)
     sample = sample_truncated(spec)
-    text = "x\n" + "\n".join(map(repr, sample.values.tolist())) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        with Path(args.output).open("w") as out:
+            _write_sample(out, sample.values)
+        return EXIT_OK
+    try:
+        _write_sample(sys.stdout, sample.values)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`trunctail simulate ... | head`), which is
+        # not an error. Point stdout at devnull so the flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
+
+
+def _write_sample(out, values: np.ndarray) -> None:
+    """The 'x' header, then repr of each value on its own line, written
+    _WRITE_CHUNK values at a time so the text is never held whole."""
+    out.write("x\n")
+    for start in range(0, values.size, _WRITE_CHUNK):
+        out.write("\n".join(map(repr, values[start:start + _WRITE_CHUNK].tolist())) + "\n")
 
 
 # Each JSON spec field, its converter, and whether it is required; an absent

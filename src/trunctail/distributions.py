@@ -67,7 +67,7 @@ def _is_int(x) -> bool:
 
 def _check_n(n: int) -> None:
     if not (_is_int(n) and 1 <= n <= _MAX_N):
-        raise ValueError(f"n must be an integer in [1, {_MAX_N}], got {n!r}")
+        raise ValueError(f"n must be an integer with n >= 1 and n <= {_MAX_N}, got {n!r}")
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
@@ -290,8 +290,7 @@ def sample_tail(model: TailModel, n: int, seed: int) -> np.ndarray:
     A draw beyond the float range is +inf, which ``sample_truncated`` always
     caps, since every threshold M_n is finite.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     _check_seed(seed)
     s = _stream(seed, _H_STREAM).random(n)
     np.subtract(1.0, s, out=s)  # survival probabilities 1 - U, in (0, 1]

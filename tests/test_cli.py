@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trunctail import Burr, replication_seed, report_for_parameters
+from trunctail import cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -97,6 +100,71 @@ class TestEstimateCommand:
         path.write_text("\n".join(["5"] * 30) + "\n")
         proc = run_cli("estimate", "--input", str(path))
         assert proc.returncode == 3
+
+
+# Generated sample files: clean lines with up to two odd pieces, so that
+# many files sit just either side of what one numpy conversion takes. The
+# odd pieces are tokens, whitespace and line breaks that the line loop
+# rejects or reads differently from numpy, including the breaks that
+# str.splitlines makes and bytes.splitlines does not.
+_CLEAN = st.floats(min_value=0.0, allow_infinity=False).map(repr)
+_ODD_TOKEN = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from([
+        "", "-0.0", "-0", "1_0", "+7", ".5", "1e400", "1e-400", "nan", "-nan", "inf", "-inf",
+        "Infinity", "-1.5", "-0.5", "-5e-324", "abc", "1 2", "0x10", "\u0663", "\uff11",
+        "1\x00", "\x00", "x", "X", "\ufeff1",
+    ]),
+)
+_ODD_SPACE = st.sampled_from(["", " ", "\t", "\x0c", "\x0b", "\x1f", "\xa0"])
+_ODD_BREAK = st.sampled_from(["", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r\r\n"])
+
+
+@st.composite
+def _sample_file(draw) -> bytes:
+    header = draw(st.sampled_from(["", "x", "X", " x ", "x\t"]))
+    lines = ([header] if header else []) + draw(st.lists(_CLEAN, max_size=5))
+    breaks = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        odd = draw(st.sampled_from(["token", "space", "break"]))
+        if odd == "token":
+            lines[i] = draw(_ODD_TOKEN)
+        elif odd == "space":
+            lines[i] = draw(_ODD_SPACE) + lines[i] + draw(_ODD_SPACE)
+        else:
+            breaks[i] = draw(_ODD_BREAK)
+    data = "".join(line + br for line, br in zip(lines, breaks)).encode()
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    return data + b"\xff" if draw(st.integers(0, 19)) == 0 else data
+
+
+def _read_outcome(read, path):
+    """The values' bytes, or the message that main prints after 'error: '
+    before exiting 2."""
+    try:
+        return np.asarray(read(str(path)), dtype=float).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSampleFileReader:
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_sample_file())
+    def test_one_conversion_equals_line_loop(self, tmp_path, data):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(data)
+        assert _read_outcome(cli._read_sample_file, path) == _read_outcome(cli._read_sample_lines, path)
+
+    def test_clean_file_skips_line_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(b" X\t\r\n8\r\n4.5 \n1e-3\n-0.0\n2_0\r0")
+        monkeypatch.setattr(cli, "_read_sample_lines", None)
+        values = cli._read_sample_file(str(path))
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.array([8.0, 4.5, 1e-3, -0.0, 20.0, 0.0]).tobytes()
 
 
 class TestDiagnoseCommand:
@@ -214,6 +282,36 @@ class TestSimulateCommand:
         )
         values = sample_truncated(spec).values
         assert out.read_text() == "x\n" + "".join(repr(float(v)) + "\n" for v in values)
+
+    @pytest.mark.parametrize("n", [1, cli._WRITE_CHUNK - 1, cli._WRITE_CHUNK,
+                                   cli._WRITE_CHUNK + 1, 2 * cli._WRITE_CHUNK + 1])
+    def test_chunk_edges_match_per_value_repr(self, tmp_path, capsys, n):
+        from trunctail import TruncatedSampleSpec, parse_light_model, sample_truncated
+        from trunctail import parse_tail_model, parse_truncation
+
+        args = ["simulate", "--tail", "pareto:alpha=1", "--light", "exp:rate=1",
+                "--trunc", "A=1,delta=0.5", "--n", str(n), "--seed", "6"]
+        spec = TruncatedSampleSpec(
+            parse_tail_model("pareto:alpha=1"), parse_light_model("exp:rate=1"),
+            parse_truncation("A=1,delta=0.5"), n, 6,
+        )
+        want = "x\n" + "".join(repr(float(v)) + "\n" for v in sample_truncated(spec).values)
+        out = tmp_path / "s.csv"
+        assert cli.main([*args, "--output", str(out)]) == 0
+        assert out.read_text() == want
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == want
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trunctail", *self.ARGS[:-4], "--n", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.stdout.read(2) == b"x\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     @pytest.mark.parametrize("trunc, named", [
         ("A=1,delta=1000", "A = 1.0, delta = 1000.0"),

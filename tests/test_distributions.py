@@ -172,6 +172,13 @@ class TestSampleTail:
         with pytest.raises(ValueError, match="n >= 1"):
             sample_tail(Pareto(alpha=1), 0, seed=1)
 
+    # 10**20 is beyond numpy's largest array length; a bool or float n would
+    # reach numpy and fail there without naming n
+    @pytest.mark.parametrize("n", [10**20, True, 2.0])
+    def test_rejects_n_numpy_cannot_take(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer.*, got {re.escape(repr(n))}$"):
+            sample_tail(Pareto(alpha=2), n, seed=0)
+
     def test_overflowing_draws_are_inf_without_warning(self):
         # tier-1 turns a RuntimeWarning into an error
         assert np.isinf(sample_tail(Pareto(alpha=0.001), 3, 1)).any()
