@@ -55,43 +55,31 @@ _WRITE_CHUNK = 2**16
 def _read_sample_file(path: str) -> np.ndarray:
     """One nonnegative decimal per line; optional 'x' header; blanks ignored.
 
-    The whole file goes through one numpy conversion. A file that does not
-    convert cleanly is read again by the line loop, which raises the
-    line-numbered error or reads the blank lines it allows."""
+    The whole file goes through one numpy conversion, which parses each line
+    as float() parses bytes: ASCII only, with ASCII whitespace around the
+    number. The line loop also breaks lines at vertical tabs and form feeds,
+    which here can only sit in that whitespace, so it reads the same values;
+    the header test strips only spaces and tabs for the same reason. A file
+    that does not convert cleanly is read again by the line loop, which raises
+    the line-numbered error or reads the blank lines it allows; so is a file
+    with a NUL byte, since numpy's fixed-width strings drop trailing NULs."""
     try:
-        values = _convert_sample_bytes(Path(path).read_bytes())
-    except OSError:
-        values = None
-    return np.array(_read_sample_lines(path)) if values is None else values
-
-
-def _convert_sample_bytes(data: bytes) -> np.ndarray | None:
-    """Every line after an optional 'x' header as float64, or None where the
-    line loop must decide.
-
-    numpy parses each line as float() parses bytes: ASCII only, with ASCII
-    whitespace around the number. The line loop also breaks lines at vertical
-    tabs and form feeds, which here can only sit in that whitespace, so it
-    reads the same values; the header test strips only spaces and tabs for
-    the same reason. A NUL byte falls back, since numpy's fixed-width strings
-    drop trailing NULs."""
-    lines = data.splitlines()
-    if lines and lines[0].strip(b" \t").lower() == b"x":
-        del lines[0]
-    if not lines or b"\0" in data:
-        return None
-    try:
-        values = np.array(lines, dtype=float)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all() or (values < 0.0).any():
-        return None
-    return values
+        data = Path(path).read_bytes()
+        lines = data.splitlines()
+        if lines and lines[0].strip(b" \t").lower() == b"x":
+            del lines[0]
+        if lines and b"\0" not in data:
+            values = np.array(lines, dtype=float)
+            if np.isfinite(values).all() and not (values < 0.0).any():
+                return values
+    except (OSError, ValueError):
+        pass
+    return np.array(_read_sample_lines(path))
 
 
 def _read_sample_lines(path: str) -> list[float]:
-    """The line-by-line reader: the reference for _convert_sample_bytes and
-    the source of every reader error."""
+    """The line-by-line reader: the reference for _read_sample_file's one
+    conversion and the source of every reader error."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:

@@ -331,23 +331,20 @@ def _truncated(spec: TruncatedSampleSpec, s_cut: float) -> SampleData:
             heavy = spec.tail._inverse_survival(s)
         big = np.flatnonzero(heavy > m)
         capped = big if where is None else where[big]  # ascending sample positions
-        marked = np.zeros(-(-n // _BLOCK), dtype=bool)
-        marked[capped // _BLOCK] = True
-        # runs of consecutive marked blocks, as [start, stop) sample positions
-        edges = (np.flatnonzero(np.diff(marked, prepend=False, append=False)) * _BLOCK).tolist()
+        block = capped // _BLOCK
+        # capped positions in consecutive blocks form one run, drawn in one call
+        first = [0, *(np.flatnonzero(np.diff(block) > 1) + 1).tolist()] if capped.size else []
         rng = _stream(spec.seed, _L_STREAM)
         drawn = 0  # light values the stream has produced so far
-        done = 0  # capped positions filled so far
-        for lo, hi in zip(edges[0::2], edges[1::2]):
-            hi = min(hi, n)
+        for i, j in zip(first, first[1:] + [capped.size]):
+            lo, hi = int(block[i]) * _BLOCK, min((int(block[j - 1]) + 1) * _BLOCK, n)
             rng.bit_generator.advance((lo - drawn) // _PHILOX_WORDS)
             light = spec.light.sample(rng, hi - lo)
-            stop = int(np.searchsorted(capped, hi))
-            bumped = m + light[capped[done:stop] - lo]
+            bumped = m + light[capped[i:j] - lo]
             if not np.all(np.isfinite(bumped)):
                 raise ValueError(f"M_n + L overflows: M_n = {m!r}, light = {spec.light!r}")
-            heavy[big[done:stop]] = bumped
-            drawn, done = hi, stop
+            heavy[big[i:j]] = bumped
+            drawn = hi
     # The whole sample keeps its checked copy: handed over uncopied, it left
     # a heap on which the tail-scan benchmark's passes ran slower.
     return SampleData(heavy) if where is None else _adopt(heavy, n, floor)

@@ -51,6 +51,14 @@ def replication_seed(base_seed: int, n: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# Each replication draws one raw heavy word per value; at about 8 ns a word,
+# 2**44 words take some 40 hours, so a larger study is refused up front.
+_MAX_WORDS = 2**44
+# The stdlib's ceiling for its default pool size; a pool starts one thread
+# per task while none is idle, so a user's thread count is capped here.
+_MAX_THREADS = 32
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Template for a replication study; n and the per-replication seed vary."""
@@ -77,6 +85,10 @@ class ExperimentSpec:
             raise ValueError(f"n_list must not repeat sizes, got {self.n_list}")
         if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+        words = int(self.replications) * sum(self.n_list)
+        if words > _MAX_WORDS:
+            raise ValueError(f"n_list {list(self.n_list)} with replications {self.replications} "
+                             f"would draw {words} raw heavy words, more than 2**44 = {_MAX_WORDS}")
         _check_seed(self.base_seed, "base_seed")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
@@ -205,8 +217,9 @@ def run_experiment(spec: ExperimentSpec, max_workers: int = 1) -> ExperimentResu
     """All replications for every n. Replications are independent tasks, so
     any degree of parallelism produces the identical result."""
     tasks = [(n, i) for n in spec.n_list for i in range(spec.replications)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    workers = min(max_workers, len(tasks), _MAX_THREADS)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda t: run_replication(spec, *t), tasks))
     else:
         results = [run_replication(spec, n, i) for n, i in tasks]

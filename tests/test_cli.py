@@ -16,7 +16,7 @@ from trunctail import cli
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, timeout=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     if env_extra:
         env.update(env_extra)
@@ -26,6 +26,7 @@ def run_cli(*args, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -498,6 +499,17 @@ class TestHugeOrUndecodableInput:
         proc = run_cli("experiment", "--spec", str(spec))
         assert proc.returncode == 2
         assert str(n) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_experiment_too_much_work_exits_two(self, tmp_path):
+        # below numpy's array limit, but 3 * 10**15 raw words would take months
+        n = 10**15
+        spec = TestExperimentCommand().write_spec(tmp_path, n_list=[n])
+        proc = run_cli("experiment", "--spec", str(spec), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert str(spec) in proc.stderr
+        assert str(n) in proc.stderr and str(3 * n) in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag", ["--input", "--spec"])

@@ -338,6 +338,21 @@ class TestLightDrawsOnlyWhereCapped:
             if capping == "total":
                 assert capped == n and light.calls == [n]
 
+    @pytest.mark.parametrize("capping", ["sparse", "dense", "total"])
+    @pytest.mark.parametrize("n", [_BLOCK - 1, 2 * _BLOCK + 1, 10**5])
+    def test_one_call_per_run_of_marked_blocks(self, capping, n):
+        light = CountingExponential()
+        spec = self._spec(light, n, 3, capping)
+        capped = np.flatnonzero(sample_tail(spec.tail, n, spec.seed) > spec.truncation.threshold(n))
+        runs = []  # [first, last + 1) of each run of consecutive marked blocks
+        for b in sorted(set((capped // _BLOCK).tolist())):
+            if runs and runs[-1][1] == b:
+                runs[-1][1] = b + 1
+            else:
+                runs.append([b, b + 1])
+        sample_truncated(spec)
+        assert light.calls == [min(hi * _BLOCK, n) - lo * _BLOCK for lo, hi in runs]
+
 
 generic_tails = st.one_of(
     st.builds(Pareto, alpha=st.floats(0.2, 6), xmin=st.floats(0.01, 100)),

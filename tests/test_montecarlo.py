@@ -259,6 +259,32 @@ class TestRunExperiment:
         assert aggregate_json(serial.reports) == aggregate_json(threaded.reports)
         assert qq_csv(serial) == qq_csv(threaded)
 
+    def test_thread_count_is_capped(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the thread count asked for and maps in this thread."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        spec = make_spec(replications=40)
+        serial = run_experiment(spec)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        pooled = run_experiment(spec, max_workers=10**6)
+        assert len(started) == 1 and started[0] <= 32
+        assert pooled.replications == serial.replications
+        assert pooled.reports == serial.reports
+
     def test_all_failed_raises(self):
         spec = make_spec(n_list=(1,), replications=3)
         with pytest.raises(ExperimentError, match="all 3 replications failed"):
@@ -309,6 +335,14 @@ class TestRunExperiment:
             make_spec(n_list=[100.7])
         with pytest.raises(ValueError, match="replications"):
             make_spec(replications=True)
+
+    def test_work_bound(self):
+        # one raw heavy word per value: replications * sum(n_list) <= 2**44
+        make_spec(n_list=(2**42,), replications=4)
+        make_spec(n_list=(2**44 - 1, 1), replications=1)
+        words = 2**44 + 1
+        with pytest.raises(ValueError, match=rf"n_list \[{2**44 - 1}, 2\] with replications 1 .* {words} raw"):
+            make_spec(n_list=(2**44 - 1, 2), replications=1)
 
 
 class TestSerialization:
