@@ -259,7 +259,7 @@ class TestRunExperiment:
         assert aggregate_json(serial.reports) == aggregate_json(threaded.reports)
         assert qq_csv(serial) == qq_csv(threaded)
 
-    def test_thread_count_is_capped(self, monkeypatch):
+    def test_thread_count_is_capped_at_cores(self, monkeypatch):
         started = []
 
         class SerialPool:
@@ -280,9 +280,11 @@ class TestRunExperiment:
         spec = make_spec(replications=40)
         serial = run_experiment(spec)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         pooled = run_experiment(spec, max_workers=10**6)
-        assert len(started) == 1 and started[0] <= 32
-        assert pooled.replications == serial.replications
+        two = run_experiment(spec, max_workers=2)
+        assert started == [3, 2]
+        assert pooled.replications == two.replications == serial.replications
         assert pooled.reports == serial.reports
 
     def test_all_failed_raises(self):
@@ -337,12 +339,10 @@ class TestRunExperiment:
             make_spec(replications=True)
 
     def test_work_bound(self):
-        # one raw heavy word per value: replications * sum(n_list) <= 2**44
-        make_spec(n_list=(2**42,), replications=4)
-        make_spec(n_list=(2**44 - 1, 1), replications=1)
-        words = 2**44 + 1
-        with pytest.raises(ValueError, match=rf"n_list \[{2**44 - 1}, 2\] with replications 1 .* {words} raw"):
-            make_spec(n_list=(2**44 - 1, 2), replications=1)
+        # one replication walks n raw heavy words in one thread: n <= 2**44
+        make_spec(n_list=(2**44,), replications=1000)
+        with pytest.raises(ValueError, match=rf"n = {2**44 + 1} in n_list: .* {2**44 + 1} raw"):
+            make_spec(n_list=(5, 2**44 + 1), replications=1)
 
 
 class TestSerialization:
