@@ -15,9 +15,11 @@ is blown up by the squared logarithm, so boundaries count as failures.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .estimator import AdaptiveParams, SampleData, _adopt, v_count
+from .distributions import _reciprocal, _require_positive
+from .estimator import AdaptiveParams, SampleData, _adopt, _check_unit, v_count
 
 __all__ = [
     "HOLDS",
@@ -80,8 +82,7 @@ def beta_feasible_range(alpha: float, rho: float | None) -> tuple[float, float] 
 
     rho None means a first-order exact tail, which drops the 1/(1 - rho) term.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_positive("alpha", alpha)
     lo = max(1.0 - 1.0 / alpha, 0.0)
     if rho is not None:
         if not rho < 0.0:
@@ -92,11 +93,9 @@ def beta_feasible_range(alpha: float, rho: float | None) -> tuple[float, float] 
 
 def delta_feasible_range(alpha: float, beta: float) -> tuple[float, float]:
     """Open delta window (1/(alpha*(2 - beta)), 1/alpha); nonempty for beta < 1."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    return (1.0 / (alpha * (2.0 - beta)), 1.0 / alpha)
+    inverse = _reciprocal("alpha", alpha)
+    _check_unit("beta", beta)
+    return (1.0 / (alpha * (2.0 - beta)), inverse)
 
 
 def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: float) -> AssumptionReport:
@@ -105,12 +104,9 @@ def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: f
     rho is the second-order exponent, or None for a first-order exact tail.
     Scale-free: the threshold constant A never enters the verdicts.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    _require_positive("alpha", alpha)
+    _require_positive("delta", delta)
+    _check_unit("beta", beta)
     ad = alpha * delta
     adb = ad * (2.0 - beta)
     if not math.isfinite(adb):
@@ -138,11 +134,11 @@ def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: f
         rho_ok = None
         notes.append("first-order exact tail: no second-order constraint on beta")
     else:
-        rho_ok = rho < -(1.0 - beta) / beta
+        bound = -(1.0 - beta) / beta  # overflows to -inf at a subnormal beta, where only rho = -inf is below it
+        rho_ok = rho < bound or rho == -math.inf
         if not rho_ok:
-            notes.append(
-                f"rho = {rho:g} is not below -(1-beta)/beta = {-(1.0 - beta) / beta:g}"
-            )
+            shown = f"= {bound:g}" if math.isfinite(bound) else f"< {-sys.float_info.max:g}"
+            notes.append(f"rho = {rho:g} is not below -(1-beta)/beta {shown}")
     if window is not None and not window[0] < beta < window[1]:
         notes.append(f"beta = {beta:g} sits outside the feasible window ({window[0]:g}, 1)")
     return AssumptionReport(

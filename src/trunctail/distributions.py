@@ -56,8 +56,20 @@ _RAW_CHUNK = 2**16
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    """The rule for alpha, delta, scales and rates; numpy reals pass, bools do not."""
+    if not ((_is_int(value) or isinstance(value, (float, np.floating))) and value > 0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _reciprocal(name: str, value: float) -> float:
+    """1/value for a value that _require_positive passes, refused where it overflows."""
+    _require_positive(name, value)
+    inverse = 1.0 / value
+    if not math.isfinite(inverse):
+        raise ValueError(f"1/{name} overflows: {name} = {value!r}")
+    return inverse
 
 
 def _is_int(x) -> bool:

@@ -29,6 +29,20 @@ __all__ = [
 _LEVEL = 0.95
 
 
+def _check_unit(name: str, value: float) -> None:
+    """The rule for beta, gamma and the CI level: strictly inside (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
+def _check_level(level: float) -> None:
+    """The CI level's rule: in (0, 1), with the quantile's argument
+    0.5 * (1 + level) below 1, which the largest double below 1 misses."""
+    _check_unit("level", level)
+    if not 0.5 * (1.0 + level) < 1.0:
+        raise ValueError(f"level must be at most 1 - 2**-52, got {level}")
+
+
 class DegenerateSampleError(ValueError):
     """The sample carries no usable tail information (zero maximum, zero
     order statistic where a log is needed, or an all-equal top)."""
@@ -127,10 +141,8 @@ class AdaptiveParams:
     gamma: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        _check_unit("beta", self.beta)
+        _check_unit("gamma", self.gamma)
 
 
 @dataclass(frozen=True)
@@ -174,8 +186,7 @@ def hill_statistic(sample: SampleData, k: int) -> float:
 
 def u_count(sample: SampleData, gamma: float, m: float) -> int:
     """Strict count of values above gamma * m: V_n at m = X_(1), U_n at a known M_n."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    _check_unit("gamma", gamma)
     if not m > 0.0:
         raise ValueError(f"m must be positive, got {m}")
     return sample.count_above(gamma * m)
@@ -199,8 +210,7 @@ def tilde_k(n: int, u: int, beta: float) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= u <= n:
         raise ValueError(f"u must be in [0, {n}], got {u}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    _check_unit("beta", beta)
     # computed as n * (u/n)**beta so u == n lands exactly on n
     return int(math.floor(n * (u / n) ** beta))
 
@@ -219,8 +229,7 @@ def estimate(
     """
     if params is None:
         params = AdaptiveParams()
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     v = v_count(sample, params.gamma)
     if k is None:
         k = tilde_k(sample.n, v, params.beta)

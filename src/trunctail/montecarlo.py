@@ -7,11 +7,11 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distributions import _check_n, _check_seed, _is_int, _truncated, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
+from .distributions import _check_n, _check_seed, _is_int, _reciprocal, _truncated, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
 from .estimator import (
     AdaptiveParams,
     DegenerateSampleError,
@@ -19,6 +19,7 @@ from .estimator import (
     SampleData,
     _LEVEL,
     _TailTooShort,
+    _check_level,
     estimate,
     tilde_k,
     u_count,
@@ -89,8 +90,8 @@ class ExperimentSpec:
         if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
         _check_seed(self.base_seed, "base_seed")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
+        _check_level(self.level)
+        _reciprocal("tail.alpha", self.tail.alpha)  # z is centred at 1/alpha
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,7 @@ class NormalityReport:
     failures: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "mean_z": self.mean_z,
-            "var_z": self.var_z,
-            "ks": self.ks_distance,
-            "coverage": self.coverage,
-            "failures": self.failures,
-        }
+        return {"ks" if k == "ks_distance" else k: v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -168,24 +161,28 @@ def _replicate(spec: ExperimentSpec, index: int, sample: SampleData, m: float) -
     n = sample.n
     u = u_count(sample, spec.params.gamma, m)
     tk = tilde_k(n, u, spec.params.beta)
+    failed = dict(n=n, index=index, failed=True, k_hat=None, h=None, z=None,
+                  z_plugin=None, ci_covers=None, u_count=u, tilde_k=tk)
     try:
         est = estimate(sample, spec.params, spec.level)
     except (InsufficientTailDataError, DegenerateSampleError) as exc:
-        return ReplicationResult(
-            n=n, index=index, failed=True, k_hat=None, h=None, z=None,
-            z_plugin=None, ci_covers=None, u_count=u, tilde_k=tk, error=str(exc),
-        )
+        return ReplicationResult(**failed, error=str(exc))
     alpha = spec.tail.alpha
     target = 1.0 / alpha
     root_k = math.sqrt(est.k_hat)
+    z = alpha * root_k * (est.h - target)
+    z_plugin = root_k * (est.h - target) / est.h
+    if not (math.isfinite(z) and math.isfinite(z_plugin)):
+        return ReplicationResult(
+            **failed, error=f"z or z_plugin overflows: alpha = {alpha!r}, h = {est.h!r}")
     return ReplicationResult(
         n=n,
         index=index,
         failed=False,
         k_hat=est.k_hat,
         h=est.h,
-        z=alpha * root_k * (est.h - target),
-        z_plugin=root_k * (est.h - target) / est.h,
+        z=z,
+        z_plugin=z_plugin,
         ci_covers=bool(est.ci_lo <= target <= est.ci_hi),
         u_count=u,
         tilde_k=tk,
@@ -198,8 +195,11 @@ def _aggregate(n: int, results: list[ReplicationResult]) -> NormalityReport:
         raise ExperimentError(f"all {len(results)} replications failed for n = {n}")
     # moments come from the sorted z list, so completion order is irrelevant
     zs = np.sort(np.array([r.z for r in ok]))
-    mean = float(zs.mean())
-    var = float(zs.var(ddof=1)) if zs.size > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(zs.mean())
+        var = float(zs.var(ddof=1)) if zs.size > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ExperimentError(f"the mean or variance of z overflows for n = {n}")
     coverage = sum(1 for r in ok if r.ci_covers) / len(ok)
     return NormalityReport(
         n=n,

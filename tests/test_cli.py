@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trunctail import Burr, replication_seed, report_for_parameters
-from trunctail import cli
+from trunctail import cli, montecarlo
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -79,6 +80,14 @@ class TestEstimateCommand:
         proc = run_cli("estimate", "--input", str(path), "--k", "2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 4
+
+    def test_level_rounding_to_one_names_level(self, data_file):
+        # 0.5 * (1 + level) rounds to 1 for the largest double below 1
+        proc = run_cli("estimate", "--input", str(data_file), "--k", "2", "--level", "0.9999999999999999")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "level must be at most 1 - 2**-52, got 0.9999999999999999" in proc.stderr
+        assert "p must be" not in proc.stderr
 
     def test_thin_tail_exits_three(self, tmp_path):
         path = tmp_path / "thin.csv"
@@ -198,6 +207,16 @@ class TestDiagnoseCommand:
         assert proc.returncode == 0, proc.stderr
         want = report_for_parameters(1, None, 0.2, 0.9).to_dict()
         assert json.loads(proc.stdout) == json.loads(json.dumps(want))
+
+    @pytest.mark.parametrize("beta", ["5e-324", "1e-320", "1e-310"])
+    @pytest.mark.parametrize("rho", ["-0.5", "-1e-3", "-inf"])
+    def test_subnormal_beta_prints_no_inf(self, beta, rho, capsys):
+        # -(1-beta)/beta overflows here; written --rho=-1e-3, since argparse
+        # reads a separate -1e-3 or -inf as an option
+        assert cli.main(["diagnose", "--alpha", "2", f"--rho={rho}", "--beta", beta, "--delta", "0.45"]) == 0
+        out = capsys.readouterr().out
+        assert not re.search(r"(?i)\b(inf|infinity|nan)\b", out), out
+        assert json.loads(out)["rho_ok"] is (rho == "-inf")
 
     @pytest.mark.parametrize("flag", ["--alpha", "--delta"])
     def test_infinite_exponent_rejected(self, flag):
@@ -465,6 +484,19 @@ class TestExperimentCommand:
         proc = run_cli("experiment", "--spec", str(path))
         assert proc.returncode == 2
         assert "extra" in proc.stderr
+
+    def test_level_rounding_to_one_refused_before_any_replication(self, tmp_path, monkeypatch, capsys):
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "run_replication", no_replication)
+        spec = self.write_spec(tmp_path, level=0.9999999999999999)
+        out = tmp_path / "run"
+        assert cli.main(["experiment", "--spec", str(spec), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{spec}: level must be at most 1 - 2**-52, got 0.9999999999999999" in captured.err
+        assert list(tmp_path.iterdir()) == [spec]
 
     def test_experiment_wide_failure_exits_four(self, tmp_path):
         spec = self.write_spec(tmp_path, n_list=[1], replications=2)

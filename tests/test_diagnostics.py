@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -217,3 +218,64 @@ class TestCStatisticTrend:
 def test_error_branches_name_the_value(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+class TestExponentRules:
+    # the alpha and delta checks of the window functions and the report
+    CALLS = {
+        "beta-window-alpha": ("alpha", lambda v: beta_feasible_range(v, -1.0)),
+        "delta-window-alpha": ("alpha", lambda v: delta_feasible_range(v, 0.5)),
+        "report-alpha": ("alpha", lambda v: report_for_parameters(v, -0.5, 0.8, 0.45)),
+        "report-delta": ("delta", lambda v: report_for_parameters(2.0, -0.5, 0.8, v)),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("value", [np.float32(2), np.int64(1)])
+    def test_numpy_reals_accepted(self, call, value):
+        self.CALLS[call][1](value)
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("value, text", [
+        (True, "must be positive, got True"),
+        (math.inf, "must be positive and finite, got inf"),
+    ], ids=["bool", "inf"])
+    def test_refusal_names_the_exponent(self, call, value, text):
+        name, fn = self.CALLS[call]
+        with pytest.raises(ValueError, match=re.escape(f"{name} {text}")):
+            fn(value)
+
+    def test_infinite_alpha_windows_refused(self):
+        # these returned None and (0.0, 0.0) before alpha had one rule
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            beta_feasible_range(math.inf, -1.0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            delta_feasible_range(math.inf, 0.5)
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324, 1e-310])
+    def test_delta_window_of_a_subnormal_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"1/alpha overflows: alpha = {alpha!r}")):
+            delta_feasible_range(alpha, 0.5)
+
+    def test_smallest_alpha_with_a_finite_window(self):
+        lo, hi = delta_feasible_range(1e-308, 0.5)
+        assert math.isfinite(lo) and hi == 1e308
+
+
+class TestRhoNote:
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-310])
+    @pytest.mark.parametrize("rho", [-0.5, -1e-3, -1e300])
+    def test_subnormal_beta_prints_no_inf(self, beta, rho):
+        # -(1-beta)/beta overflows, and every finite rho lies above it
+        rep = report_for_parameters(2.0, rho, beta, 0.45)
+        assert rep.rho_condition is False
+        text = json.dumps(rep.to_dict())
+        assert not re.search(r"(?i)\b(inf|infinity|nan)\b", text), text
+        assert f"rho = {rho:g} is not below -(1-beta)/beta < -1.79769e+308" in rep.notes
+
+    def test_infinite_rho_is_below_every_bound(self):
+        for beta in (5e-324, 0.5):
+            assert report_for_parameters(2.0, -math.inf, beta, 0.45).rho_condition is True
+
+    def test_finite_bound_note_unchanged(self):
+        rep = report_for_parameters(2.0, -0.1, 0.8, 0.45)
+        assert "rho = -0.1 is not below -(1-beta)/beta = -0.25" in rep.notes

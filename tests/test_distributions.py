@@ -491,6 +491,38 @@ class TestModelValidation:
         assert ms[0] == 2.0
 
 
+# every field that _require_positive checks, through the constructor that sets it
+_POSITIVE_FIELDS = {
+    "alpha": lambda v: Pareto(alpha=v),
+    "xmin": lambda v: Pareto(alpha=2.0, xmin=v),
+    "tau": lambda v: Burr(tau=v, lam=2.0),
+    "lambda": lambda v: Burr(tau=1.0, lam=v),
+    "rate": lambda v: Exponential(rate=v),
+    "b": lambda v: Uniform(b=v),
+    "A": lambda v: TruncationScheme(A=v),
+    "delta": lambda v: TruncationScheme(delta=v),
+}
+
+
+@pytest.mark.parametrize("name", list(_POSITIVE_FIELDS))
+class TestPositiveRule:
+    @pytest.mark.parametrize("value", [np.float32(2), np.int64(1), np.float64(0.5), 3, 0.25])
+    def test_real_numbers_accepted(self, name, value):
+        _POSITIVE_FIELDS[name](value)
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "must be positive, got True"),
+        (0.0, "must be positive, got 0.0"),
+        (-1, "must be positive, got -1"),
+        (math.nan, "must be positive, got nan"),
+        ("2", "must be positive, got '2'"),
+        (math.inf, "must be positive and finite, got inf"),
+    ], ids=["bool", "zero", "negative", "nan", "text", "inf"])
+    def test_refusal_names_field_and_value(self, name, value, text):
+        with pytest.raises(ValueError, match=re.escape(f"{name} {text}")):
+            _POSITIVE_FIELDS[name](value)
+
+
 class TestGrammar:
     def test_tail_forms(self):
         assert parse_tail_model("pareto:alpha=2,xmin=1") == Pareto(alpha=2, xmin=1)

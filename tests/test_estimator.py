@@ -10,16 +10,20 @@ from trunctail import (
     AdaptiveParams,
     Burr,
     DegenerateSampleError,
+    ExperimentSpec,
     Exponential,
     InsufficientTailDataError,
     Pareto,
     SampleData,
     TruncatedSampleSpec,
     TruncationScheme,
+    Zero,
     adaptive_k,
+    delta_feasible_range,
     estimate,
     hill_curve,
     hill_statistic,
+    report_for_parameters,
     sample_tail,
     sample_truncated,
     tilde_k,
@@ -433,3 +437,44 @@ class TestUntruncatedSanity:
 def test_error_branches_name_the_value(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+_SAMPLE = SampleData([8.0, 4.0, 2.0, 1.0, 0.5])
+
+
+# every public check of the (0, 1) rule, each with the name it reports
+@pytest.mark.parametrize("name, call", [
+    ("beta", lambda v: AdaptiveParams(beta=v)),
+    ("gamma", lambda v: AdaptiveParams(gamma=v)),
+    ("gamma", lambda v: u_count(_SAMPLE, v, 8.0)),
+    ("beta", lambda v: tilde_k(10, 5, v)),
+    ("level", lambda v: estimate(_SAMPLE, level=v)),
+    ("level", lambda v: ExperimentSpec(
+        Pareto(alpha=1.0), Zero(), TruncationScheme(), AdaptiveParams(), (10,), 1, 0, level=v)),
+    ("beta", lambda v: delta_feasible_range(2.0, v)),
+    ("beta", lambda v: report_for_parameters(2.0, None, v, 0.45)),
+], ids=["params-beta", "params-gamma", "u_count", "tilde_k", "estimate", "spec", "delta-window",
+        "report"])
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, math.nan, math.inf])
+def test_unit_rule_names_the_parameter(name, call, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be in (0, 1), got {value}")):
+        call(value)
+
+
+class TestLevelEdge:
+    TOP = math.nextafter(1.0, 0.0)  # 0.5 * (1 + TOP) rounds to 1
+
+    def test_estimate_refuses_the_largest_double_below_one(self):
+        with pytest.raises(ValueError, match=re.escape(f"level must be at most 1 - 2**-52, got {self.TOP}")):
+            estimate(_SAMPLE, level=self.TOP)
+
+    def test_spec_refuses_it_at_construction(self):
+        with pytest.raises(ValueError, match="level must be at most 1 - 2[*][*]-52"):
+            ExperimentSpec(Pareto(alpha=1.0), Zero(), TruncationScheme(), AdaptiveParams(), (10,), 1, 0,
+                           level=self.TOP)
+
+    def test_next_level_down_is_accepted(self):
+        level = 1.0 - 2.0**-52
+        est = estimate(_SAMPLE, level=level, k=3)
+        assert est.level == level
+        assert math.isfinite(est.ci_lo) and math.isfinite(est.ci_hi) and est.ci_lo < est.ci_hi

@@ -338,6 +338,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="replications"):
             make_spec(replications=True)
 
+    def test_tail_index_with_overflowing_reciprocal_refused(self):
+        # z = alpha*sqrt(k)*(h - 1/alpha) is centred at 1/alpha
+        with pytest.raises(ValueError, match=re.escape("1/tail.alpha overflows: tail.alpha = 5e-324")):
+            make_spec(tail=Pareto(alpha=5e-324))
+        make_spec(tail=Pareto(alpha=1e-300))
+        # a Burr tail index tau*lambda can itself underflow or overflow
+        with pytest.raises(ValueError, match=re.escape("tail.alpha must be positive, got 0.0")):
+            make_spec(tail=Burr(tau=1e-200, lam=1e-200))
+        with pytest.raises(ValueError, match=re.escape("tail.alpha must be positive and finite, got inf")):
+            make_spec(tail=Burr(tau=1e200, lam=1e200))
+
+    def test_overflowing_z_fails_the_replication(self):
+        # 1/alpha = 1e305 is finite, but z_plugin = sqrt(k)*(h - 1e305)/h is not
+        spec = make_spec(tail=Pareto(alpha=1e-305), n_list=(200,), replications=1, base_seed=0,
+                         truncation=TruncationScheme(A=1.0, delta=1.0))
+        r = run_replication(spec, 200, 0)
+        assert r.failed and r.z is None and r.z_plugin is None
+        assert r.error.startswith("z or z_plugin overflows: alpha = 1e-305, h = ")
+        assert replications_csv([r]) == "n,index,k_hat,h,z,z_plugin,covers,failed\n200,0,,,,,,true\n"
+
+    def test_overflowing_z_moments_raise(self):
+        # alpha = 1e300: the z values near 1e300 have no finite variance
+        spec = make_spec(tail=Burr(tau=1.0, lam=1e300), n_list=(200,), replications=2, base_seed=0,
+                         truncation=TruncationScheme(A=1.0, delta=1.0))
+        with pytest.raises(ExperimentError, match="the mean or variance of z overflows for n = 200"):
+            run_experiment(spec)
+
     def test_work_bound(self):
         # one replication walks n raw heavy words in one thread: n <= 2**44
         make_spec(n_list=(2**44,), replications=1000)
@@ -368,6 +395,12 @@ class TestSerialization:
         doc = json.loads(aggregate_json(res.reports))
         assert [rec["n"] for rec in doc] == [3000, 5000]
         assert set(doc[0]) == {"n", "count", "mean_z", "var_z", "ks", "coverage", "failures"}
+
+    def test_report_dict_renames_only_ks(self):
+        rep = run_experiment(make_spec(replications=4)).reports[5000]
+        doc = rep.to_dict()
+        assert list(doc) == ["n", "count", "mean_z", "var_z", "ks", "coverage", "failures"]
+        assert doc["ks"] == rep.ks_distance and doc["mean_z"] == rep.mean_z
 
     def test_qq_points_and_csv(self):
         zs = [0.5, -1.0, 1.5, 0.0]
