@@ -82,7 +82,7 @@ def beta_feasible_range(alpha: float, rho: float | None) -> tuple[float, float] 
 
     rho None means a first-order exact tail, which drops the 1/(1 - rho) term.
     """
-    _require_positive("alpha", alpha)
+    alpha = _require_positive("alpha", alpha)
     lo = max(1.0 - 1.0 / alpha, 0.0)
     if rho is not None:
         if not rho < 0.0:
@@ -93,9 +93,9 @@ def beta_feasible_range(alpha: float, rho: float | None) -> tuple[float, float] 
 
 def delta_feasible_range(alpha: float, beta: float) -> tuple[float, float]:
     """Open delta window (1/(alpha*(2 - beta)), 1/alpha); nonempty for beta < 1."""
-    inverse = _reciprocal("alpha", alpha)
+    alpha = _require_positive("alpha", alpha)
     _check_unit("beta", beta)
-    return (1.0 / (alpha * (2.0 - beta)), inverse)
+    return (1.0 / (alpha * (2.0 - beta)), _reciprocal("alpha", alpha))
 
 
 def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: float) -> AssumptionReport:
@@ -104,8 +104,8 @@ def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: f
     rho is the second-order exponent, or None for a first-order exact tail.
     Scale-free: the threshold constant A never enters the verdicts.
     """
-    _require_positive("alpha", alpha)
-    _require_positive("delta", delta)
+    alpha = _require_positive("alpha", alpha)
+    delta = _require_positive("delta", delta)
     _check_unit("beta", beta)
     ad = alpha * delta
     adb = ad * (2.0 - beta)

@@ -55,18 +55,27 @@ _BLOCK = 4096
 _RAW_CHUNK = 2**16
 
 
-def _require_positive(name: str, value: float) -> None:
-    """The rule for alpha, delta, scales and rates; numpy reals pass, bools do not."""
+def _require_positive(name: str, value: float) -> float:
+    """The rule for alpha, delta, scales and rates: positive and finite, numpy
+    reals included but not bools. Returns the value as a Python float, so no
+    later arithmetic runs in a narrower numpy type."""
     if not ((_is_int(value) or isinstance(value, (float, np.floating))) and value > 0):
         raise ValueError(f"{name} must be positive, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _store_positive(model, fields: dict[str, str]) -> None:
+    """Apply the positive rule to each field {attribute: name in errors} of a
+    frozen model, and store the value it returns."""
+    for attr, name in fields.items():
+        object.__setattr__(model, attr, _require_positive(name, getattr(model, attr)))
 
 
 def _reciprocal(name: str, value: float) -> float:
     """1/value for a value that _require_positive passes, refused where it overflows."""
-    _require_positive(name, value)
-    inverse = 1.0 / value
+    inverse = 1.0 / _require_positive(name, value)
     if not math.isfinite(inverse):
         raise ValueError(f"1/{name} overflows: {name} = {value!r}")
     return inverse
@@ -102,8 +111,7 @@ class Pareto:
     xmin: float = 1.0
 
     def __post_init__(self):
-        _require_positive("alpha", self.alpha)
-        _require_positive("xmin", self.xmin)
+        _store_positive(self, {"alpha": "alpha", "xmin": "xmin"})
 
     @property
     def rho(self) -> float | None:
@@ -147,8 +155,7 @@ class Burr:
     lam: float
 
     def __post_init__(self):
-        _require_positive("tau", self.tau)
-        _require_positive("lambda", self.lam)
+        _store_positive(self, {"tau": "tau", "lam": "lambda"})
 
     @property
     def alpha(self) -> float:
@@ -224,7 +231,7 @@ class Exponential:
     rate: float = 1.0
 
     def __post_init__(self):
-        _require_positive("rate", self.rate)
+        _store_positive(self, {"rate": "rate"})
         if not math.isfinite(_MAX_UNIT_EXP_DRAW / self.rate):
             raise ValueError(f"rate must be large enough for finite draws, got {self.rate!r}")
 
@@ -241,7 +248,7 @@ class Uniform:
     b: float = 1.0
 
     def __post_init__(self):
-        _require_positive("b", self.b)
+        _store_positive(self, {"b": "b"})
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n excesses b * U; value i comes from the i-th double of one
@@ -263,8 +270,7 @@ class TruncationScheme:
     delta: float = 0.5
 
     def __post_init__(self):
-        _require_positive("A", self.A)
-        _require_positive("delta", self.delta)
+        _store_positive(self, {"A": "A", "delta": "delta"})
 
     def threshold(self, n: int) -> float:
         """M_n in floating point; a level, never rounded to a count."""

@@ -244,6 +244,11 @@ class TestExponentRules:
         with pytest.raises(ValueError, match=re.escape(f"{name} {text}")):
             fn(value)
 
+    def test_numpy_reals_are_computed_in_double(self):
+        # float32 arithmetic would overflow alpha*delta = 1e40 with a warning
+        alpha = np.float32(1e30)
+        assert report_for_parameters(alpha, None, 0.5, 1e10) == report_for_parameters(float(alpha), None, 0.5, 1e10)
+
     def test_infinite_alpha_windows_refused(self):
         # these returned None and (0.0, 0.0) before alpha had one rule
         with pytest.raises(ValueError, match="alpha must be positive and finite"):

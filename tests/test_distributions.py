@@ -467,6 +467,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Exponential(rate=bad)
 
+    def test_float32_threshold_is_computed_in_double(self):
+        # a float32 field would otherwise round M_n to float32
+        scheme = TruncationScheme(A=np.float32(1.0), delta=np.float32(0.45))
+        assert scheme.threshold(10**6) == 1.0 * 1e6 ** float(np.float32(0.45))
+
     def test_exponential_rate_too_small_for_finite_draws(self):
         with pytest.raises(ValueError, match="rate"):
             Exponential(rate=1e-320)
@@ -491,24 +496,26 @@ class TestModelValidation:
         assert ms[0] == 2.0
 
 
-# every field that _require_positive checks, through the constructor that sets it
+# every field that _require_positive checks: the constructor that sets it, and its attribute
 _POSITIVE_FIELDS = {
-    "alpha": lambda v: Pareto(alpha=v),
-    "xmin": lambda v: Pareto(alpha=2.0, xmin=v),
-    "tau": lambda v: Burr(tau=v, lam=2.0),
-    "lambda": lambda v: Burr(tau=1.0, lam=v),
-    "rate": lambda v: Exponential(rate=v),
-    "b": lambda v: Uniform(b=v),
-    "A": lambda v: TruncationScheme(A=v),
-    "delta": lambda v: TruncationScheme(delta=v),
+    "alpha": (lambda v: Pareto(alpha=v), "alpha"),
+    "xmin": (lambda v: Pareto(alpha=2.0, xmin=v), "xmin"),
+    "tau": (lambda v: Burr(tau=v, lam=2.0), "tau"),
+    "lambda": (lambda v: Burr(tau=1.0, lam=v), "lam"),
+    "rate": (lambda v: Exponential(rate=v), "rate"),
+    "b": (lambda v: Uniform(b=v), "b"),
+    "A": (lambda v: TruncationScheme(A=v), "A"),
+    "delta": (lambda v: TruncationScheme(delta=v), "delta"),
 }
 
 
 @pytest.mark.parametrize("name", list(_POSITIVE_FIELDS))
 class TestPositiveRule:
     @pytest.mark.parametrize("value", [np.float32(2), np.int64(1), np.float64(0.5), 3, 0.25])
-    def test_real_numbers_accepted(self, name, value):
-        _POSITIVE_FIELDS[name](value)
+    def test_real_numbers_accepted_and_stored_as_float(self, name, value):
+        make, attr = _POSITIVE_FIELDS[name]
+        stored = getattr(make(value), attr)
+        assert type(stored) is float and stored == float(value)
 
     @pytest.mark.parametrize("value, text", [
         (True, "must be positive, got True"),
@@ -520,7 +527,7 @@ class TestPositiveRule:
     ], ids=["bool", "zero", "negative", "nan", "text", "inf"])
     def test_refusal_names_field_and_value(self, name, value, text):
         with pytest.raises(ValueError, match=re.escape(f"{name} {text}")):
-            _POSITIVE_FIELDS[name](value)
+            _POSITIVE_FIELDS[name][0](value)
 
 
 class TestGrammar:
