@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage/validation, 3 insufficient tail data,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -138,16 +139,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
     spec = TruncatedSampleSpec(tail, light, trunc, args.n, seed)
     sample = sample_truncated(spec)
-    if args.output:
-        with Path(args.output).open("w") as out:
-            _write_sample(out, sample.values)
-        return EXIT_OK
     try:
-        _write_sample(sys.stdout, sample.values)
-        sys.stdout.flush()
+        with Path(args.output).open("w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+            _write_sample(out, sample.values)
+            out.flush()
     except BrokenPipeError:
-        # The reader stopped early (`trunctail simulate ... | head`), which is
-        # not an error. Point stdout at devnull so the flush at exit is quiet.
+        # The reader of stdout stopped early (`trunctail simulate ... | head`),
+        # which is not an error; a broken --output file still is. Point stdout
+        # at devnull so the flush at exit is quiet.
+        if args.output:
+            raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -180,31 +181,27 @@ _SPEC_FIELDS = {
 
 def _load_experiment_spec(path: str) -> ExperimentSpec:
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read spec file {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
-    unknown = set(doc) - set(_SPEC_FIELDS)
-    if unknown:
-        raise ValueError(f"{path}: unknown field(s): {', '.join(sorted(unknown))}")
-    kw = {}
-    for name, (convert, required) in _SPEC_FIELDS.items():
-        if name not in doc:
-            if required:
-                raise ValueError(f"{path}: missing field '{name}'")
-            continue
-        try:
-            kw[name] = convert(doc[name])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: field '{name}': {exc}") from None
-    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("top level must be a JSON object")
+        unknown = set(doc) - set(_SPEC_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown field(s): {', '.join(sorted(unknown))}")
+        kw = {}
+        for name, (convert, required) in _SPEC_FIELDS.items():
+            if name in doc:
+                try:
+                    kw[name] = convert(doc[name])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"field '{name}': {exc}") from None
+            elif required:
+                raise ValueError(f"missing field '{name}'")
         params = AdaptiveParams(**{p: kw.pop(p) for p in ("beta", "gamma") if p in kw})
         return ExperimentSpec(truncation=kw.pop("trunc"), params=params, **kw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read spec file {path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -161,32 +161,21 @@ def _replicate(spec: ExperimentSpec, index: int, sample: SampleData, m: float) -
     n = sample.n
     u = u_count(sample, spec.params.gamma, m)
     tk = tilde_k(n, u, spec.params.beta)
-    failed = dict(n=n, index=index, failed=True, k_hat=None, h=None, z=None,
-                  z_plugin=None, ci_covers=None, u_count=u, tilde_k=tk)
-    try:
-        est = estimate(sample, spec.params, spec.level)
-    except (InsufficientTailDataError, DegenerateSampleError) as exc:
-        return ReplicationResult(**failed, error=str(exc))
     alpha = spec.tail.alpha
     target = 1.0 / alpha
-    root_k = math.sqrt(est.k_hat)
-    z = alpha * root_k * (est.h - target)
-    z_plugin = root_k * (est.h - target) / est.h
-    if not (math.isfinite(z) and math.isfinite(z_plugin)):
-        return ReplicationResult(
-            **failed, error=f"z or z_plugin overflows: alpha = {alpha!r}, h = {est.h!r}")
-    return ReplicationResult(
-        n=n,
-        index=index,
-        failed=False,
-        k_hat=est.k_hat,
-        h=est.h,
-        z=z,
-        z_plugin=z_plugin,
-        ci_covers=bool(est.ci_lo <= target <= est.ci_hi),
-        u_count=u,
-        tilde_k=tk,
-    )
+    try:
+        est = estimate(sample, spec.params, spec.level)
+        root_k = math.sqrt(est.k_hat)
+        z = alpha * root_k * (est.h - target)
+        z_plugin = root_k * (est.h - target) / est.h
+        if not (math.isfinite(z) and math.isfinite(z_plugin)):
+            raise OverflowError(f"z or z_plugin overflows: alpha = {alpha!r}, h = {est.h!r}")
+        outcome = dict(failed=False, k_hat=est.k_hat, h=est.h, z=z, z_plugin=z_plugin,
+                       ci_covers=bool(est.ci_lo <= target <= est.ci_hi))
+    except (InsufficientTailDataError, DegenerateSampleError, OverflowError) as exc:
+        outcome = dict(failed=True, k_hat=None, h=None, z=None, z_plugin=None,
+                       ci_covers=None, error=str(exc))
+    return ReplicationResult(n=n, index=index, u_count=u, tilde_k=tk, **outcome)
 
 
 def _aggregate(n: int, results: list[ReplicationResult]) -> NormalityReport:
