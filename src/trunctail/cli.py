@@ -179,9 +179,20 @@ _SPEC_FIELDS = {
 }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refused if a key repeats, where
+    json.loads alone would keep the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate field '{key}'")
+        doc[key] = value
+    return doc
+
+
 def _load_experiment_spec(path: str) -> ExperimentSpec:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
         if not isinstance(doc, dict):
             raise ValueError("top level must be a JSON object")
         unknown = set(doc) - set(_SPEC_FIELDS)

@@ -94,7 +94,7 @@ def beta_feasible_range(alpha: float, rho: float | None) -> tuple[float, float] 
 def delta_feasible_range(alpha: float, beta: float) -> tuple[float, float]:
     """Open delta window (1/(alpha*(2 - beta)), 1/alpha); nonempty for beta < 1."""
     alpha = _require_positive("alpha", alpha)
-    _check_unit("beta", beta)
+    beta = _check_unit("beta", beta)
     return (1.0 / (alpha * (2.0 - beta)), _reciprocal("alpha", alpha))
 
 
@@ -106,7 +106,7 @@ def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: f
     """
     alpha = _require_positive("alpha", alpha)
     delta = _require_positive("delta", delta)
-    _check_unit("beta", beta)
+    beta = _check_unit("beta", beta)
     ad = alpha * delta
     adb = ad * (2.0 - beta)
     if not math.isfinite(adb):

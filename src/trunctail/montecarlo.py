@@ -90,7 +90,7 @@ class ExperimentSpec:
         if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
         _check_seed(self.base_seed, "base_seed")
-        _check_level(self.level)
+        object.__setattr__(self, "level", _check_level(self.level))
         _reciprocal("tail.alpha", self.tail.alpha)  # z is centred at 1/alpha
 
 

@@ -485,6 +485,15 @@ class TestExperimentCommand:
         assert proc.returncode == 2
         assert "extra" in proc.stderr
 
+    def test_repeated_field_rejected(self, tmp_path, capsys):
+        # json.loads alone keeps the last value, and the study would run
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(self.spec_doc())[:-1] + ', "base_seed": 2}')
+        assert cli.main(["experiment", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: duplicate field 'base_seed'\n"
+
     def test_level_rounding_to_one_refused_before_any_replication(self, tmp_path, monkeypatch, capsys):
         def no_replication(*args):
             raise AssertionError("a replication ran")

@@ -6,7 +6,9 @@ Valid values are drawn half the time at the edges of their range
 (subnormals, 1e308, the largest double below 1). Half of the examples are
 noisy: there about one value in ten is extreme (0, inf, nan, a negative, any
 float, text that is no number), and model strings, spec documents and flags
-may hold unknown, duplicate or missing parts."""
+may hold unknown, duplicate or missing parts. Fixed cases give each spec
+field a NaN or Infinity literal, a nested object or a repeated key, and feed
+the loader malformed JSON."""
 
 import contextlib
 import io
@@ -114,9 +116,22 @@ def _check(argv, names, written=(), hide=""):
         err = err.replace(hide, "") if hide else err
         assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err, re.IGNORECASE)
                    for name in names if name), (argv, err)
+    return code
 
 
 _FUZZ = settings(derandomize=True, deadline=None)
+
+# a valid spec, for the fixed cases to break one part of
+_SPEC = {"tail": "pareto:alpha=1", "light": "zero", "trunc": "A=1,delta=0.5",
+         "n_list": [200], "replications": 2, "base_seed": 1}
+
+
+def _check_spec(tmp_path, text: str, names) -> None:
+    """The contract for an experiment whose spec file holds text, which
+    must be refused with exit 2."""
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert _check(["experiment", f"--spec={path}"], names, hide=str(path)) == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -192,12 +207,29 @@ class TestCliFuzz:
         names |= {str(v) for v in [*doc.values(), *doc.get("n_list", [])] if not isinstance(v, list)}
         text = json.dumps(doc)
         if _rarely(data.draw, noisy):
-            text = data.draw(st.sampled_from([text[:-1], "[]", "3"]))
+            field = data.draw(st.sampled_from(sorted(doc)))
+            repeated = f'{text[:-1]}, "{field}": {json.dumps(doc[field])}}}'
+            text = data.draw(st.sampled_from([text[:-1], text[:-1] + ",}", repeated, "[]", "3"]))
             names |= {"line", "top level"}
-        threads = 0 if _rarely(data.draw, noisy) else data.draw(st.integers(1, 2))
+        threads = 0 if _rarely(data.draw, noisy) else data.draw(st.integers(1, 4))
         with tempfile.TemporaryDirectory() as tmp:
             spec, prefix = Path(tmp, "spec.json"), Path(tmp, "run")
             spec.write_text(text)
             written = [Path(f"{prefix}{s}") for s in ("_replications.csv", "_aggregate.json", "_qq.csv")]
             _check(["experiment", f"--spec={spec}", f"--out={prefix}", f"--threads={threads}"],
                    names | {"threads", str(threads)}, written=written, hide=str(spec))
+
+    def test_spec_field_literal_or_repeat(self, tmp_path):
+        for field in cli._SPEC_FIELDS:
+            for value in ["NaN", "Infinity", "-Infinity", '{"n_list": [200]}', "[{}]", None]:
+                members = [f'"{k}": {json.dumps(v)}' for k, v in _SPEC.items() if k != field]
+                if value is None:  # the field given twice
+                    members += [f'"{field}": {json.dumps(_SPEC.get(field, 0.5))}'] * 2
+                else:
+                    members.append(f'"{field}": {value}')
+                _check_spec(tmp_path, "{" + ", ".join(members) + "}", {field})
+
+    def test_malformed_spec_json(self, tmp_path):
+        for text in ['{"tail": "pareto:alpha=1",}', '{"n_list": [200,]}', '{"tail": "pareto:alpha=1"',
+                     "", "NaN", "Infinity", '{"tail": {"x": 1, "x": 2}}']:
+            _check_spec(tmp_path, text, {"line", "top level", "x"})

@@ -1,5 +1,10 @@
 """The package namespace: each module's ``__all__`` resolves, the package
-exports exactly their union, and no name of the frozen public API is lost."""
+exports exactly their union, no name of the frozen public API is lost, and
+every name the benchmark's tracer rebinds still exists."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import trunctail
 from trunctail import diagnostics, distributions, estimator, montecarlo, normal
@@ -43,3 +48,26 @@ def test_frozen_public_api_is_still_exported():
     assert FROZEN_API <= set(trunctail.__all__)
     for name in FROZEN_API:
         assert hasattr(trunctail, name), name
+
+
+def test_benchmark_tracer_finds_every_name_it_rebinds(monkeypatch):
+    # perfbench's instrumented() skips a name it cannot find, so a renamed
+    # function would silently drop its layer's metrics from the benchmark
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    lookups = []
+
+    def recording_getattr(owner, attr, *default):
+        found = getattr(owner, attr, *default)
+        lookups.append((owner.__name__, attr, found is not None))
+        return found
+
+    monkeypatch.setattr(tracer, "getattr", recording_getattr, raising=False)  # shadows the builtin
+    with tracer.instrumented(tracer.Tracer("t")):
+        assert montecarlo.estimate is not estimator.estimate
+    assert montecarlo.estimate is estimator.estimate
+    assert lookups
+    assert [(owner, attr) for owner, attr, found in lookups if not found] == []
