@@ -462,12 +462,11 @@ def test_unit_rule_names_the_parameter(name, call, value):
         call(value)
 
 
-
 class TestUnitRuleReturnsFloat:
     """The (0, 1) rule returns a Python float, which every caller stores or
     computes with, so a numpy real never narrows the arithmetic."""
 
-    @pytest.mark.parametrize("value", [np.float32(0.8), np.float64(0.8), 0.8])
+    @pytest.mark.parametrize("value", [np.float32(0.8), np.float64(0.8)])
     def test_stored_fields_are_floats(self, value):
         params = AdaptiveParams(beta=value, gamma=value)
         spec = ExperimentSpec(Pareto(alpha=1.0), Zero(), TruncationScheme(), params, (10,), 1, 0, level=value)
@@ -475,7 +474,7 @@ class TestUnitRuleReturnsFloat:
             assert type(stored) is float and stored == float(value)
 
     def test_float32_beta_counts_in_double(self):
-        # in float32, (u/n)**beta rounds k up by one at u = 2734 and 16 more u
+        # numpy 2 computes (u/n)**beta in float32, one off at u = 2734 and 16 more u
         beta = np.float32(0.8)
         us = range(1, 20000)
         assert [tilde_k(10**6, u, beta) for u in us] == [tilde_k(10**6, u, float(beta)) for u in us]
