@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trunctail import ks_distance, normal, normal_cdf, normal_quantile
-from trunctail.normal import _quantile_guess
+from trunctail import ks_distance, normal_cdf, normal_quantile
 
 
 def gauss_quadrature_cdf(x: float) -> float:
@@ -109,39 +108,3 @@ class TestKsDistance:
         with pytest.raises(ValueError, match="at least one"):
             ks_distance([])
 
-
-# the density at the quantile underflows below 1e-300, so no Newton step
-# runs and the rational guess is returned as it stands
-@pytest.mark.parametrize("p", [5e-324, 1e-320])
-def test_underflowing_density_returns_the_guess(p):
-    x = normal_quantile(p)
-    assert x == _quantile_guess(p)
-    assert x == pytest.approx(bisect_quantile(p), abs=0.02)
-
-
-def _two_branch_guess(p: float) -> float:
-    """Reference: the tail formula written out once per tail."""
-    c, d = normal._C, normal._D
-    if p < normal._P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p > 1.0 - normal._P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    return _quantile_guess(p)
-
-
-def test_one_tail_formula_equals_one_per_tail():
-    rng = np.random.default_rng(1406)
-    low = normal._P_LOW
-    edges = [low, 1.0 - low, 0.5]
-    edges = [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))]
-    ps = [*edges, 5e-324, 1e-300, math.nextafter(1.0, 0.0),
-          *rng.uniform(0.0, low, 5000), *(1.0 - rng.uniform(0.0, low, 5000)),
-          *np.exp(rng.uniform(-744.0, math.log(low), 2000)),
-          *(1.0 - np.exp(rng.uniform(-36.0, math.log(low), 2000)))]
-    for p in map(float, ps):
-        if 0.0 < p < 1.0:
-            assert _quantile_guess(p) == _two_branch_guess(p), p
