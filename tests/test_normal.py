@@ -73,7 +73,24 @@ class TestNormalQuantile:
         qs = [normal_quantile(p) for p in ps]
         assert all(b > a for a, b in zip(qs, qs[1:]))
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
+    # Reference quantiles of the exact binary value of each p, made once with
+    # mpmath at mp.dps = 700 as float(-mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(p))),
+    # and checked there against mp.findroot on mp.ncdf(x) - p.
+    @pytest.mark.parametrize("p, reference", [
+        (5e-324, -38.467405617144344),
+        (1e-300, -37.0470962993612),
+        (1e-10, -6.361340902404057),
+        (0.025, -1.9599639845400543),
+        (0.4995, -0.0012533144654325557),
+        (0.5005, 0.0012533144654324165),
+        (0.975, 1.9599639845400538),
+        (1 - 1e-10, 6.361340889697422),
+        (1 - 2**-53, 8.209536151601387),
+    ])
+    def test_within_a_few_ulp_of_a_high_precision_reference(self, p, reference):
+        assert abs(normal_quantile(p) - reference) <= 8 * math.ulp(reference)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, math.nan])
     def test_domain(self, p):
         with pytest.raises(ValueError, match="in \\(0, 1\\)"):
             normal_quantile(p)
