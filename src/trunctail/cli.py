@@ -144,11 +144,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             _write_sample(out, sample.values)
             out.flush()
     except BrokenPipeError:
-        # The reader of stdout stopped early (`trunctail simulate ... | head`),
-        # which is not an error; a broken --output file still is. Point stdout
+        # The reader stopped early (`trunctail simulate ... | head`, or an
+        # --output naming a pipe or FIFO), which is not an error. Point stdout
         # at devnull so the flush at exit is quiet.
-        if args.output:
-            raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

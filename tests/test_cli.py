@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -329,6 +330,26 @@ class TestSimulateCommand:
         )
         assert proc.stdout.read(2) == b"x\n"
         proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_closed_output_fifo_exits_quietly(self, tmp_path):
+        fifo = tmp_path / "s.fifo"
+        os.mkfifo(fifo)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trunctail", *self.ARGS[:-4], "--n", "100000",
+             "--output", str(fifo)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        # opened non-blocking, so a writer that never opens the FIFO fails the
+        # select instead of hanging the suite
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert select.select([reader], [], [], 60)[0]
+            assert os.read(reader, 2) == b"x\n"
+        finally:
+            os.close(reader)
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
