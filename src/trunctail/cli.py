@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage/validation, 3 insufficient tail data,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import math
@@ -36,6 +37,7 @@ from .estimator import (
 from .montecarlo import (
     ExperimentError,
     ExperimentSpec,
+    _usable_cores,
     aggregate_json,
     qq_csv,
     replications_csv,
@@ -49,38 +51,66 @@ EXIT_USAGE = 2
 EXIT_INSUFFICIENT_TAIL = 3
 EXIT_EXPERIMENT_FAILED = 4
 
-# Values per write of `simulate`: about 1.3 MB of text
+# Values per chunk of `simulate`'s text: about 1.3 MB
 _WRITE_CHUNK = 2**16
+# Bytes per piece of `estimate`'s file: about 100,000 lines
+_READ_PIECE = 2**21
 
 
 def _read_sample_file(path: str) -> np.ndarray:
     """One nonnegative decimal per line; optional 'x' header; blanks ignored.
 
-    The whole file goes through one numpy conversion, which parses each line
-    as float() parses bytes: ASCII only, with ASCII whitespace around the
-    number. The line loop also breaks lines at vertical tabs and form feeds,
-    which here can only sit in that whitespace, so it reads the same values;
-    the header test strips only spaces and tabs for the same reason. A file
-    that does not convert cleanly is read again by the line loop, which raises
-    the line-numbered error or reads the blank lines it allows; so is a file
-    with a NUL byte, since numpy's fixed-width strings drop trailing NULs."""
+    Each piece that _cut_lines makes goes through one numpy conversion, on
+    every usable core when there are two or more pieces. The conversion
+    parses each line as float() parses bytes: ASCII only, with ASCII
+    whitespace around the number. The line loop also breaks lines at
+    vertical tabs and form feeds, which here can only sit in that whitespace,
+    so it reads the same values. A file that does not convert cleanly is read
+    again by the line loop, which raises the line-numbered error or reads the
+    blank lines it allows."""
     try:
-        data = Path(path).read_bytes()
-        lines = data.splitlines()
-        if lines and lines[0].strip(b" \t").lower() == b"x":
-            del lines[0]
-        if lines and b"\0" not in data:
-            values = np.array(lines, dtype=float)
+        pieces = _cut_lines(Path(path).read_bytes())
+    except OSError:
+        pieces = []
+    if pieces:
+        parts: list[np.ndarray] = []
+        try:
+            _map_chunks(_parse_chunk, pieces, parts.append)
+        except ValueError:
+            pass
+        else:
+            values = np.concatenate(parts)
             if np.isfinite(values).all() and not (values < 0.0).any():
                 return values
-    except (OSError, ValueError):
-        pass
     return np.array(_read_sample_lines(path))
 
 
+def _cut_lines(data: bytes) -> list[bytes]:
+    """The bytes after the first line if it is an 'x' header, cut just after
+    a line feed every _READ_PIECE bytes or so. A line feed always ends a line,
+    so the pieces' lines are the file's lines. The header test strips only
+    spaces and tabs, the whitespace bytes.splitlines leaves inside a line. A
+    file with a NUL byte gives no pieces, since numpy's fixed-width strings
+    drop trailing NULs."""
+    if b"\0" in data:
+        return []
+    first = data[:data.find(b"\n") + 1 or None].splitlines(keepends=True)[:1]
+    start = len(first[0]) if first and first[0].rstrip(b"\r\n").strip(b" \t").lower() == b"x" else 0
+    pieces = []
+    while start < len(data):
+        end = data.find(b"\n", start + _READ_PIECE) + 1 or len(data)
+        pieces.append(data[start:end])
+        start = end
+    return pieces
+
+
+def _parse_chunk(piece: bytes) -> np.ndarray:
+    return np.array(piece.splitlines(), dtype=float)
+
+
 def _read_sample_lines(path: str) -> list[float]:
-    """The line-by-line reader: the reference for _read_sample_file's one
-    conversion and the source of every reader error."""
+    """The line-by-line reader: the reference for _read_sample_file's
+    conversion of pieces and the source of every reader error."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -154,11 +184,56 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _write_sample(out, values: np.ndarray) -> None:
-    """The 'x' header, then repr of each value on its own line, written
-    _WRITE_CHUNK values at a time so the text is never held whole."""
+    """The 'x' header, then repr of each value on its own line. The values are
+    formatted _WRITE_CHUNK at a time, on every usable core when there is more
+    than one chunk, and written in order as each chunk's text is ready, so
+    the text is never held whole."""
     out.write("x\n")
-    for start in range(0, values.size, _WRITE_CHUNK):
-        out.write("\n".join(map(repr, values[start:start + _WRITE_CHUNK].tolist())) + "\n")
+    chunks = [values[i:i + _WRITE_CHUNK] for i in range(0, values.size, _WRITE_CHUNK)]
+    _map_chunks(_format_chunk, chunks, out.write)
+
+
+def _format_chunk(chunk: np.ndarray) -> str:
+    return "\n".join(map(repr, chunk.tolist())) + "\n"
+
+
+def _map_chunks(func, chunks: list, sink) -> None:
+    """sink(func(chunk)) for each chunk, in order. With two or more chunks
+    and usable cores, and 'fork' available, func runs in a pool of forked
+    processes, one per usable core, with at most two chunks per worker in
+    flight; otherwise it runs here. If sink or func raises, the chunks not
+    yet started are cancelled and the workers joined before the exception
+    goes on. A worker that dies raises ChildProcessError, which main reports
+    as an OSError. The pool modules are imported only on the pool path."""
+    workers = min(len(chunks), _usable_cores())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
+        for chunk in chunks:
+            sink(func(chunk))
+        return
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # a forked worker flushes the standard streams as it exits, so anything
+    # they hold now would be written twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = collections.deque()
+        for chunk in chunks:
+            if len(pending) == 2 * workers:
+                sink(pending.popleft().result())
+            pending.append(pool.submit(func, chunk))
+        while pending:
+            sink(pending.popleft().result())
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # Each JSON spec field, its converter, and whether it is required; an absent

@@ -201,12 +201,20 @@ def _aggregate(n: int, results: list[ReplicationResult]) -> NormalityReport:
     )
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, so that taskset and container masks count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(spec: ExperimentSpec, max_workers: int = 1) -> ExperimentResult:
     """All replications for every n. Replications are independent tasks, so
     any degree of parallelism produces the identical result. They do no I/O,
-    so at most one thread per core is started."""
+    so at most one thread per usable core is started."""
     tasks = [(n, i) for n in spec.n_list for i in range(spec.replications)]
-    workers = min(max_workers, len(tasks), os.cpu_count() or 1)
+    workers = min(max_workers, len(tasks), _usable_cores())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda t: run_replication(spec, *t), tasks))

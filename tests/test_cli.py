@@ -1,11 +1,14 @@
+import concurrent.futures.process
 import json
 import math
+import multiprocessing
 import os
 import re
 import select
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +154,22 @@ def _sample_file(draw) -> bytes:
     return data + b"\xff" if draw(st.integers(0, 19)) == 0 else data
 
 
+@st.composite
+def _long_sample_file(draw) -> bytes:
+    """Up to a hundred lines from _sample_file's pieces: mostly clean values
+    ending in a line feed, with blank lines, other line breaks, odd
+    whitespace and a rare odd token here and there, so that most files convert
+    cleanly and a cut can land next to each of them."""
+    header = draw(st.sampled_from(["", "x", " X\t"]))
+    line = st.one_of(*[_CLEAN] * 12, st.just(""), st.tuples(_ODD_SPACE, _CLEAN, _ODD_SPACE).map("".join),
+                     _ODD_TOKEN)
+    lines = ([header] if header else []) + draw(st.lists(line, min_size=1, max_size=100))
+    breaks = draw(st.lists(st.sampled_from(["\n"] * 8 + ["\r\n", "\r"]),
+                           min_size=len(lines), max_size=len(lines)))
+    data = "".join(line + br for line, br in zip(lines, breaks)).encode()
+    return data.rstrip(b"\r\n") if draw(st.booleans()) else data
+
+
 def _read_outcome(read, path):
     """The values' bytes, or the message that main prints after 'error: '
     before exiting 2."""
@@ -168,6 +187,31 @@ class TestSampleFileReader:
         path = tmp_path / "sample.csv"
         path.write_bytes(data)
         assert _read_outcome(cli._read_sample_file, path) == _read_outcome(cli._read_sample_lines, path)
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_long_sample_file(), piece=st.integers(1, 48))
+    def test_cut_pieces_read_what_the_line_loop_reads(self, tmp_path, data, piece):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(data)
+        with mock.patch.object(cli, "_READ_PIECE", piece), mock.patch.object(cli, "_usable_cores", lambda: 1):
+            pieces = cli._cut_lines(data)
+            assert data.endswith(b"".join(pieces))
+            assert all(p.endswith(b"\n") for p in pieces[:-1])
+            assert _read_outcome(cli._read_sample_file, path) == _read_outcome(cli._read_sample_lines, path)
+
+    def test_pieces_converted_on_the_pool_keep_their_order(self, tmp_path, monkeypatch):
+        lines = [repr(v) for v in np.random.default_rng(3).pareto(1.0, 3000).tolist()]
+        text = "x\r\n" + "\n".join(lines[:1000]) + "\r" + "\r\n".join(lines[1000:2000]) + "\n"
+        path = tmp_path / "sample.csv"
+        path.write_bytes((text + "\n".join(lines[2000:])).encode())
+        monkeypatch.setattr(cli, "_READ_PIECE", 4096)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "_read_sample_lines", None)
+        assert len(cli._cut_lines(path.read_bytes())) > 10
+        values = cli._read_sample_file(str(path))
+        assert multiprocessing.active_children() == []
+        assert values.tobytes() == np.array([float(s) for s in lines]).tobytes()
 
     def test_clean_file_skips_line_loop(self, tmp_path, monkeypatch):
         path = tmp_path / "sample.csv"
@@ -323,6 +367,37 @@ class TestSimulateCommand:
         assert cli.main(args) == 0
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_pool_and_one_process_match_per_value_repr(self, tmp_path, capsys, monkeypatch, cores):
+        from trunctail import TruncatedSampleSpec, parse_light_model, sample_truncated
+        from trunctail import parse_tail_model, parse_truncation
+
+        n = 3 * cli._WRITE_CHUNK + 1
+        args = ["simulate", "--tail", "pareto:alpha=1", "--light", "exp:rate=1",
+                "--trunc", "A=1,delta=0.5", "--n", str(n), "--seed", "8"]
+        spec = TruncatedSampleSpec(
+            parse_tail_model("pareto:alpha=1"), parse_light_model("exp:rate=1"),
+            parse_truncation("A=1,delta=0.5"), n, 8,
+        )
+        want = "x\n" + "".join(repr(float(v)) + "\n" for v in sample_truncated(spec).values)
+        pools = []
+
+        class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, *a, **kw):
+                pools.append(kw)
+                super().__init__(*a, **kw)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        out = tmp_path / "s.csv"
+        assert cli.main([*args, "--output", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert out.read_text() == want
+        assert cli.main(args) == 0
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().out == want
+        assert len(pools) == (0 if cores == 1 else 2)
+
     def test_closed_stdout_pipe_exits_quietly(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "trunctail", *self.ARGS[:-4], "--n", "100000"],
@@ -400,6 +475,53 @@ class TestSimulateCommand:
         assert proc.stderr == (
             "error: M_n + L overflows: M_n = 1.0162245912673255e+308, light = Uniform(b=1e+308)\n"
         )
+
+
+def _die(chunk):
+    os._exit(1)
+
+
+def _touch(path: str) -> str:
+    Path(path).touch()
+    return path
+
+
+class TestChunkPool:
+    @pytest.mark.parametrize("func", ["_format_chunk", "_parse_chunk"])
+    def test_dead_worker_exits_two(self, tmp_path, monkeypatch, capsys, func):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        sample = tmp_path / "s.csv"
+        argv = [*TestSimulateCommand.ARGS[:-4], "--n", str(3 * cli._WRITE_CHUNK), "--output", str(sample)]
+        if func == "_parse_chunk":
+            assert cli.main(argv) == 0
+            monkeypatch.setattr(cli, "_READ_PIECE", 2**16)
+            argv = ["estimate", "--input", str(sample)]
+        monkeypatch.setattr(cli, func, _die)
+        assert cli.main(argv) == 2
+        assert multiprocessing.active_children() == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_failing_sink_cancels_chunks_not_started(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+
+        def sink(result):
+            raise BrokenPipeError
+
+        with pytest.raises(BrokenPipeError):
+            cli._map_chunks(_touch, [str(tmp_path / str(i)) for i in range(64)], sink)
+        assert multiprocessing.active_children() == []
+        # at most two chunks per worker are ever submitted ahead of the sink
+        assert len(list(tmp_path.iterdir())) <= 4
+
+    def test_maps_here_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", None)
+        got = []
+        cli._map_chunks(_touch, [str(tmp_path / str(i)) for i in range(5)], got.append)
+        assert got == [str(tmp_path / str(i)) for i in range(5)]
 
 
 class TestExperimentCommand:

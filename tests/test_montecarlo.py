@@ -285,12 +285,21 @@ class TestRunExperiment:
         spec = make_spec(replications=40)
         serial = run_experiment(spec)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
         pooled = run_experiment(spec, max_workers=10**6)
         two = run_experiment(spec, max_workers=2)
         assert started == [3, 2]
         assert pooled.replications == two.replications == serial.replications
         assert pooled.reports == serial.reports
+
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert montecarlo._usable_cores() == 1
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+        assert montecarlo._usable_cores() == 8
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cores() == 1
 
     def test_all_failed_raises(self):
         spec = make_spec(n_list=(1,), replications=3)
