@@ -221,7 +221,8 @@ def _map_chunks(func, chunks: list, sink) -> None:
     # they hold now would be written twice
     sys.stdout.flush()
     sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker)
     try:
         pending = collections.deque()
         for chunk in chunks:
@@ -234,6 +235,23 @@ def _map_chunks(func, chunks: list, sink) -> None:
         raise ChildProcessError(str(exc)) from None
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _start_worker() -> None:
+    """Leave Ctrl-C to the parent, which cancels the chunks and joins the
+    workers, and end the worker when the parent ends: a killed parent
+    cannot join it, and it would wait for chunks forever."""
+    import multiprocessing
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with, args=(multiprocessing.parent_process(),), daemon=True).start()
+
+
+def _exit_with(parent) -> None:
+    parent.join()
+    os._exit(1)
 
 
 # Each JSON spec field, its converter, and whether it is required; an absent

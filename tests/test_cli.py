@@ -5,8 +5,10 @@ import multiprocessing
 import os
 import re
 import select
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -486,7 +488,59 @@ def _touch(path: str) -> str:
     return path
 
 
+def _is_running(pid: str) -> bool:
+    """False once pid has exited, also while it waits as a zombie for a
+    parent that does not reap it."""
+    stat = subprocess.run(["ps", "-o", "stat=", "-p", pid], capture_output=True, text=True).stdout.strip()
+    return stat != "" and not stat.startswith("Z")
+
+
+def _running_children(pid: int) -> list[str]:
+    kids = subprocess.run(["pgrep", "-P", str(pid)], capture_output=True, text=True).stdout.split()
+    return [k for k in kids if _is_running(k)]
+
+
 class TestChunkPool:
+    # simulate on a pool of two workers, whatever the cores of the machine
+    POOLED = ("import sys; from trunctail import cli; cli._usable_cores = lambda: 2; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("name", ["SIGTERM", "SIGKILL", "SIGINT"])
+    def test_stopped_command_leaves_no_worker(self, name):
+        sig = getattr(signal, name)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.POOLED, *TestSimulateCommand.ARGS[:-4], "--n", "1000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+            start_new_session=True,
+        )
+        workers = []
+        try:
+            # unread, the pipe fills and simulate blocks with its workers started
+            assert proc.stdout.read(2) == b"x\n"
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _running_children(proc.pid)
+            assert len(workers) == 2
+            if sig == signal.SIGINT:  # Ctrl-C reaches the terminal's whole process group
+                os.killpg(proc.pid, sig)
+            else:
+                proc.send_signal(sig)
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 60
+            while (left := [w for w in workers if _is_running(w)]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert left == []
+            assert "ForkProcess" not in proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            for w in workers:
+                if _is_running(w):
+                    os.kill(int(w), signal.SIGKILL)
+            proc.wait(timeout=60)
+            proc.stdout.close()
+            proc.stderr.close()
+
     @pytest.mark.parametrize("func", ["_format_chunk", "_parse_chunk"])
     def test_dead_worker_exits_two(self, tmp_path, monkeypatch, capsys, func):
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
