@@ -2,7 +2,7 @@
 diagnostics, simulate truncated samples, and run replication experiments.
 
 Exit codes: 0 success, 2 usage/validation, 3 insufficient tail data,
-4 experiment-wide failure.
+4 experiment-wide failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT_TAIL = 3
 EXIT_EXPERIMENT_FAILED = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command Ctrl-C ended
 
 # Values per chunk of `simulate`'s text: about 1.3 MB
 _WRITE_CHUNK = 2**16
@@ -187,14 +188,23 @@ def _write_sample(out, values: np.ndarray) -> None:
     """The 'x' header, then repr of each value on its own line. The values are
     formatted _WRITE_CHUNK at a time, on every usable core when there is more
     than one chunk, and written in order as each chunk's text is ready, so
-    the text is never held whole."""
+    the text is never held whole. The formatter's module is imported here,
+    before the pool forks, so the workers start with it and `import
+    trunctail.cli` does not load it."""
+    from . import _reprtext  # noqa: F401
+
     out.write("x\n")
     chunks = [values[i:i + _WRITE_CHUNK] for i in range(0, values.size, _WRITE_CHUNK)]
     _map_chunks(_format_chunk, chunks, out.write)
 
 
 def _format_chunk(chunk: np.ndarray) -> str:
-    return "\n".join(map(repr, chunk.tolist())) + "\n"
+    """The bytes of "\\n".join(map(repr, chunk.tolist())) + "\\n". Exact
+    integer arithmetic certifies repr's digits for all but a few values,
+    which go through repr (see _reprtext)."""
+    from ._reprtext import repr_lines
+
+    return repr_lines(chunk)
 
 
 def _map_chunks(func, chunks: list, sink) -> None:
@@ -381,6 +391,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's message gives the shape it could not allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # _map_chunks has cancelled and joined its workers
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry() -> None:

@@ -375,13 +375,6 @@ class TestSimulateCommand:
         from trunctail import parse_tail_model, parse_truncation
 
         n = 3 * cli._WRITE_CHUNK + 1
-        args = ["simulate", "--tail", "pareto:alpha=1", "--light", "exp:rate=1",
-                "--trunc", "A=1,delta=0.5", "--n", str(n), "--seed", "8"]
-        spec = TruncatedSampleSpec(
-            parse_tail_model("pareto:alpha=1"), parse_light_model("exp:rate=1"),
-            parse_truncation("A=1,delta=0.5"), n, 8,
-        )
-        want = "x\n" + "".join(repr(float(v)) + "\n" for v in sample_truncated(spec).values)
         pools = []
 
         class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
@@ -391,14 +384,30 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        out = tmp_path / "s.csv"
-        assert cli.main([*args, "--output", str(out)]) == 0
-        assert multiprocessing.active_children() == []
-        assert out.read_text() == want
-        assert cli.main(args) == 0
-        assert multiprocessing.active_children() == []
-        assert capsys.readouterr().out == want
-        assert len(pools) == (0 if cores == 1 else 2)
+        # the second design's values are almost all below 1e-4, where the
+        # formatter takes each line from repr
+        for tail in ["pareto:alpha=1", "pareto:alpha=2,xmin=1e-6"]:
+            args = ["simulate", "--tail", tail, "--light", "exp:rate=1",
+                    "--trunc", "A=1,delta=0.5", "--n", str(n), "--seed", "8"]
+            spec = TruncatedSampleSpec(
+                parse_tail_model(tail), parse_light_model("exp:rate=1"),
+                parse_truncation("A=1,delta=0.5"), n, 8,
+            )
+            values = sample_truncated(spec).values
+            want = "x\n" + "".join(repr(float(v)) + "\n" for v in values)
+            pools.clear()
+            out = tmp_path / "s.csv"
+            assert cli.main([*args, "--output", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            assert out.read_text() == want
+            assert cli.main(args) == 0
+            assert multiprocessing.active_children() == []
+            printed = tmp_path / "stdout.csv"
+            printed.write_text(capsys.readouterr().out)
+            assert printed.read_text() == want
+            assert len(pools) == (0 if cores == 1 else 2)
+            for path in (out, printed):
+                assert cli._read_sample_file(str(path)).tobytes() == values.tobytes()
 
     def test_closed_stdout_pipe_exits_quietly(self):
         proc = subprocess.Popen(
@@ -531,7 +540,12 @@ class TestChunkPool:
             while (left := [w for w in workers if _is_running(w)]) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert left == []
-            assert "ForkProcess" not in proc.stderr.read().decode()
+            err = proc.stderr.read().decode()
+            assert "ForkProcess" not in err
+            if sig == signal.SIGINT:
+                assert proc.returncode == 130  # 128 + SIGINT
+                assert "Traceback" not in err
+                assert err.endswith("error: interrupted\n")
         finally:
             proc.kill()
             for w in workers:
