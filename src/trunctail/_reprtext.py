@@ -37,11 +37,12 @@ carries to 10**17. Every scalar next to a uint64 array is a np.uint64, so
 numpy 1.24's value-based promotion gives the same dtypes as numpy 2.
 
 The text of a block is cut from one row of bytes per value. The row holds
-seven zeros and c's 17 digits, from 4-digit tables, with the point inserted
-after the digit of 10**0. Its line runs from the first digit of the integer
-part, or the one 0 before the point, to the last nonzero fraction digit,
-keeping at least one, and ends in a newline. A row of a value that fell back
-holds repr's line instead, at most 25 bytes.
+seven zeros and c's 17 digits, from 4-digit tables; the digits up to that of
+10**0 move one column left, into a zero, and the point takes the column
+they leave. The line runs from the first digit of the integer part, or the
+one 0 before the point, to the last nonzero fraction digit, keeping at
+least one, and ends in a newline. A row of a value that fell back holds
+repr's line instead, at most 25 bytes.
 """
 
 from __future__ import annotations
@@ -60,27 +61,25 @@ _POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _U(32)
 # Values per block: the block's arrays stay in cache, and allocating them
 # again does not fault in fresh pages.
 _BLOCK = 2**13
-_WIDTH = 26  # bytes per row: 24 digits, the point and the newline
+_WIDTH = 25  # bytes per row: 24 for the digits and the point, 1 for the newline
 
 
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ASCII of 0000-9999 as uint32 words; per e10 + 4, the row columns
-    that take the digit one column to their left, after the point; and the
-    columns of a line, per (e10 + 4) * 17 + j for a fast row, or per
-    _SPANS + length for a row that holds repr's line."""
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII of 0000-9999 as uint32 words, and the columns of a line:
+    per (e10 + 4) * 17 + j for a certified value, or per _SPANS + length for
+    a row that holds repr's line."""
     d = np.arange(10000)
     digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")
     groups = digits.astype(np.uint8).view(np.uint32).ravel()
     e10 = np.arange(-4, 16)[:, None, None]
     j = np.arange(17)[None, :, None]
     col = np.arange(_WIDTH)
-    shifted = col[1:] >= 9 + e10[:, 0]
-    spans = (col >= 7 + np.minimum(e10, 0)) & (col <= np.maximum(25 - j, 10 + e10))
+    spans = (col >= 6 + np.minimum(e10, 0)) & (col <= np.maximum(24 - j, 9 + e10))
     prefixes = col < np.arange(_WIDTH + 1)[:, None]
-    return groups, shifted, np.concatenate([spans.reshape(-1, _WIDTH), prefixes])
+    return groups, np.concatenate([spans.reshape(-1, _WIDTH), prefixes])
 
 
-_GROUPS, _SHIFTED, _COLUMNS = _tables()
+_GROUPS, _COLUMNS = _tables()
 _SPANS = 20 * 17
 
 
@@ -113,14 +112,11 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     width = w_floor + w_floor + carry + (fraction < w_fraction)  # top - floor(N - w)
 
     half = _ONE << t
-    c = n + (fraction > half)
-    tie = fraction == half
-    tens = n // _U(10) * _U(10)
-    rest = n - tens
+    up = n + _U(5)
+    tens = up // _U(10) * _U(10)  # the multiple of 10 nearest to N, a tie rounding up
     one = top - top // _U(10) * _U(10) < width
-    up = (rest > _U(5)) | ((rest == _U(5)) & (fraction > _ZERO))
-    c = np.where(one, np.where(up, tens + _U(10), tens), c)
-    tie = np.where(one, (rest == _U(5)) & (fraction == _ZERO), tie)
+    c = np.where(one, tens, n + (fraction > half))
+    tie = np.where(one, (tens == up) & (fraction == _ZERO), fraction == half)
     j = one.astype(np.int64)
     live = np.flatnonzero(one & ok)
     top, width = top[live], width[live]
@@ -152,12 +148,19 @@ def _block_lines(x: np.ndarray) -> str:
         words[:, col] = _GROUPS[high]
         words[:, col + 1] = _GROUPS[value - high * _U(10**4)]
     digits = words.view(np.uint8)  # columns 0-23: seven zeros and c's digits
-    rows = digits[:, :_WIDTH].copy()
-    np.copyto(rows[:, 1:], digits[:, :_WIDTH - 1], where=_SHIFTED[e10 + 4])
+    point = 7 + e10  # the column of the digit of 10**0, and then of the point
+    low, high = int(point.min()), int(point.max())
+    # the integer part moves one column left: in every row the columns left
+    # of low, and column col of [low, high) where the point lies right of it
+    rows = np.empty((size, _WIDTH), np.uint8)
+    rows[:, :low] = digits[:, 1:low + 1]
+    rows[:, low:] = digits[:, low:_WIDTH]
+    for col in range(low, high):
+        np.copyto(rows[:, col], digits[:, col + 1], where=point > col)
     flat = rows.ravel()
     start = np.arange(0, size * _WIDTH, _WIDTH)
-    flat[start + 8 + e10] = ord(".")
-    flat[start + np.maximum(25 - j, 10 + e10)] = ord("\n")
+    flat[start + point] = ord(".")
+    flat[start + np.maximum(24 - j, 9 + e10)] = ord("\n")
     key = (e10 + 4) * 17 + j
     fell = np.flatnonzero(~ok)
     if fell.size:
