@@ -173,10 +173,8 @@ def _block_lines(x: np.ndarray) -> str:
 
 def repr_lines(values: np.ndarray) -> str:
     """The bytes of "\\n".join(map(repr, values.tolist())) + "\\n", for a 1-d
-    float64 array."""
+    float64 array of one or more values."""
     x = np.ascontiguousarray(values, dtype=np.float64)
-    if not x.size:
-        return "\n"
     return "".join([_block_lines(x[i:i + _BLOCK]) for i in range(0, x.size, _BLOCK)])
 
 

@@ -402,11 +402,11 @@ class TestSimulateCommand:
             assert out.read_text() == want
             assert cli.main(args) == 0
             assert multiprocessing.active_children() == []
-            printed = tmp_path / "stdout.csv"
-            printed.write_text(capsys.readouterr().out)
-            assert printed.read_text() == want
+            printed = capsys.readouterr().out
+            assert printed == want
+            (tmp_path / "stdout.csv").write_text(printed)
             assert len(pools) == (0 if cores == 1 else 2)
-            for path in (out, printed):
+            for path in (out, tmp_path / "stdout.csv"):
                 assert cli._read_sample_file(str(path)).tobytes() == values.tobytes()
 
     def test_closed_stdout_pipe_exits_quietly(self):
