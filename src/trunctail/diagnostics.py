@@ -10,6 +10,7 @@ growth conditions reduce to exponent inequalities:
 
 Both are strict: at equality the first stalls at a constant and the second
 is blown up by the squared logarithm, so boundaries count as failures.
+``design_rates`` gives these quantities in closed form for one design and n.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .distributions import _reciprocal, _require_positive
-from .estimator import AdaptiveParams, SampleData, _adopt, _check_unit, v_count
+from .distributions import _check_n, _reciprocal, _require_positive
+from .estimator import AdaptiveParams, SampleData, _adopt, _check_unit, tilde_k, v_count
 
 __all__ = [
     "HOLDS",
@@ -29,7 +30,9 @@ __all__ = [
     "NOT_DECREASING",
     "AssumptionReport",
     "CStatisticTrend",
+    "DesignRates",
     "check_assumptions",
+    "design_rates",
     "report_for_parameters",
     "beta_feasible_range",
     "delta_feasible_range",
@@ -153,6 +156,34 @@ def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: f
 def check_assumptions(model, trunc, beta: float) -> AssumptionReport:
     """``report_for_parameters`` with alpha and rho read from a tail model."""
     return report_for_parameters(model.alpha, model.rho, beta, trunc.delta)
+
+
+@dataclass(frozen=True)
+class DesignRates:
+    """A design's closed-form quantities at one n."""
+
+    threshold: float  # M_n
+    expected_capped: float  # n * P(H > M_n)
+    expected_u: float  # n * P(H > gamma*M_n), the mean of U_n
+    oracle_k: int  # tilde_k at U_n's mean rounded up into [1, n]
+    rate: float  # R(n) = n * P(H > M_n)**(2 - beta) * (log M_n)**2
+
+
+def design_rates(model, trunc, params: AdaptiveParams, n: int) -> DesignRates:
+    """The closed forms of a design (tail model, truncation scheme, adaptive
+    parameters) at n: the truncated regime needs expected_capped -> inf, the
+    normal limit needs rate -> 0, and k_hat / oracle_k -> 1."""
+    _check_n(n)
+    m = trunc.threshold(n)
+    p = model.survival(m)
+    expected_u = n * model.survival(params.gamma * m)
+    return DesignRates(
+        threshold=m,
+        expected_capped=n * p,
+        expected_u=expected_u,
+        oracle_k=tilde_k(n, min(n, max(1, math.ceil(expected_u))), params.beta),
+        rate=n * p ** (2.0 - params.beta) * math.log(m) ** 2,
+    )
 
 
 def sample_c_statistic(sample: SampleData, params: AdaptiveParams) -> float:

@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .diagnostics import design_rates
 from .distributions import _check_n, _check_seed, _is_int, _reciprocal, _truncated, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
 from .estimator import (
     AdaptiveParams,
@@ -142,17 +143,17 @@ _CUT_SAFETY = 4
 def run_replication(spec: ExperimentSpec, n: int, index: int) -> ReplicationResult:
     """One replication; estimator failures are recorded, not raised.
 
-    It runs on the top of the sample, sized from the closed-form oracle count
-    tilde_k(n, n*P(H > gamma*M_n), beta), and is redone on the whole sample
-    from the same streams if it needs more; the result is the same either way.
+    It runs on the top of the sample, _CUT_SAFETY times the oracle count of
+    the design's closed forms (design_rates), and is redone on the whole
+    sample from the same streams if it needs more; the result is the same
+    either way.
     """
     seed = replication_seed(spec.base_seed, n, index)
     draw = TruncatedSampleSpec(spec.tail, spec.light, spec.truncation, n, seed)
-    m = spec.truncation.threshold(n)
-    expected = math.ceil(n * spec.tail.survival(spec.params.gamma * m))
-    k_oracle = tilde_k(n, min(n, max(1, expected)), spec.params.beta)
+    rates = design_rates(spec.tail, spec.truncation, spec.params, n)
+    m = rates.threshold
     try:
-        return _replicate(spec, index, _truncated(draw, min(1.0, _CUT_SAFETY * k_oracle / n)), m)
+        return _replicate(spec, index, _truncated(draw, min(1.0, _CUT_SAFETY * rates.oracle_k / n)), m)
     except _TailTooShort:
         return _replicate(spec, index, sample_truncated(draw), m)
 

@@ -5,7 +5,7 @@ seeds; the pinned runs are deterministic, so every asserted number is stable
 across machines, reruns and thread counts.
 
 Two designs are used. The paper's limit needs the rate quantity
-R(n) = n * P(H > M_n)**(2 - beta) * (log M_n)**2 to vanish; ``rate_quantity``
+R(n) = n * P(H > M_n)**(2 - beta) * (log M_n)**2 to vanish; ``design_rates``
 gives it in closed form. ``STUDY`` is the replication-study design of the
 README: criteria 4, 5, 8 and 9 run on it. Its R is of order 10 and rising at
 desk-scale n, so a finite-n normal limit is not promised there. ``LIMIT`` is a
@@ -28,6 +28,7 @@ from trunctail import (
     AdaptiveParams,
     Burr,
     DegenerateSampleError,
+    DesignRates,
     ExperimentSpec,
     Exponential,
     Pareto,
@@ -39,6 +40,7 @@ from trunctail import (
     beta_feasible_range,
     check_assumptions,
     delta_feasible_range,
+    design_rates,
     estimate,
     hill_curve,
     hill_statistic,
@@ -94,10 +96,8 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}: {detail}"
 
 
-def rate_quantity(design: dict, n: int) -> float:
-    """Closed-form R(n) = n * P(H > M_n)**(2 - beta) * (log M_n)**2 of a design."""
-    m = design["truncation"].threshold(n)
-    return n * design["tail"].survival(m) ** (2.0 - design["params"].beta) * math.log(m) ** 2
+def rates(design: dict, n: int) -> DesignRates:
+    return design_rates(design["tail"], design["truncation"], design["params"], n)
 
 
 def clt_spec(design: dict = STUDY) -> ExperimentSpec:
@@ -268,8 +268,8 @@ class TestCriterion3CLTDeskScale:
         # rate quantity is already small and falling at this n
         assumptions = check_assumptions(LIMIT["tail"], LIMIT["truncation"], LIMIT["params"].beta)
         assert (assumptions.b_holds, assumptions.c_holds) == (HOLDS, HOLDS)
-        assert rate_quantity(LIMIT, CLT_N) < 1.0
-        assert rate_quantity(LIMIT, 10**6) < rate_quantity(LIMIT, 10**4)
+        assert rates(LIMIT, CLT_N).rate < 1.0
+        assert rates(LIMIT, 10**6).rate < rates(LIMIT, 10**4).rate
 
         rep = limit_run.reports[CLT_N]
         checks = {
@@ -298,12 +298,12 @@ def consistency_ratios(seed: int) -> tuple[float, float, float]:
     spec = TruncatedSampleSpec(STUDY["tail"], STUDY["light"], STUDY["truncation"], n, seed)
     sample = sample_truncated(spec)
     params = STUDY["params"]
-    m = STUDY["truncation"].threshold(n)
-    p = STUDY["tail"].survival(params.gamma * m)
+    closed = rates(STUDY, n)
+    expected = closed.expected_u  # n * P(H > gamma*M_n)
     return (
-        u_count(sample, params.gamma, m) / (n * p),
-        v_count(sample, params.gamma) / (n * p),
-        adaptive_k(sample, params) / (n * p**params.beta),
+        u_count(sample, params.gamma, closed.threshold) / expected,
+        v_count(sample, params.gamma) / expected,
+        adaptive_k(sample, params) / (n * (expected / n) ** params.beta),
     )
 
 
@@ -334,8 +334,8 @@ class TestCriterion6DiagnosticTrend:
     def test_statistic_decreases_with_n(self):
         # the statistic must track the direction of R both ways: R falls
         # from n = 1e4 to 1e6 on LIMIT and rises on STUDY
-        assert rate_quantity(LIMIT, 10**6) < rate_quantity(LIMIT, 10**4)
-        assert rate_quantity(STUDY, 10**6) > rate_quantity(STUDY, 10**4)
+        assert rates(LIMIT, 10**6).rate < rates(LIMIT, 10**4).rate
+        assert rates(STUDY, 10**6).rate > rates(STUDY, 10**4).rate
         limit_small = c_statistic_average(10**4, range(20), LIMIT)
         limit_large = c_statistic_average(10**6, range(20), LIMIT)
         study_small = c_statistic_average(10**4, range(20), STUDY)

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trunctail import Burr, replication_seed, report_for_parameters
+from trunctail import (AdaptiveParams, Burr, TruncationScheme, design_rates, replication_seed,
+                       report_for_parameters)
 from trunctail import cli, montecarlo
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -320,9 +321,9 @@ class TestSimulateCommand:
             "--seed", "3",
         )
         values = np.array([float(v) for v in proc.stdout.strip().split("\n")[1:]])
-        m = 100000**0.3
-        p = Burr(tau=1, lam=2).survival(m)
-        frac = np.mean(values >= m)
+        closed = design_rates(Burr(tau=1, lam=2), TruncationScheme(A=1, delta=0.3), AdaptiveParams(), 100000)
+        p = closed.expected_capped / 100000
+        frac = np.mean(values >= closed.threshold)
         assert abs(frac - p) < 3 * math.sqrt(p * (1 - p) / 100000)
 
     def test_grammar_error_exits_two(self):

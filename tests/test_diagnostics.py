@@ -17,9 +17,11 @@ from trunctail import (
     c_statistic_trend,
     check_assumptions,
     delta_feasible_range,
+    design_rates,
     report_for_parameters,
     sample_c_statistic,
     sample_truncated,
+    tilde_k,
     v_count,
 )
 from trunctail.diagnostics import BOUNDARY, FAILS, HOLDS
@@ -284,3 +286,45 @@ class TestRhoNote:
     def test_finite_bound_note_unchanged(self):
         rep = report_for_parameters(2.0, -0.1, 0.8, 0.45)
         assert "rho = -0.1 is not below -(1-beta)/beta = -0.25" in rep.notes
+
+
+class TestDesignRates:
+    # the acceptance suite's two designs: STUDY (Burr(1, 2), beta = 0.8,
+    # delta = 0.45) and LIMIT (Pareto(1), beta = 0.2, delta = 0.9)
+    STUDY = (Burr(tau=1, lam=2), TruncationScheme(A=1.0, delta=0.45), AdaptiveParams(beta=0.8, gamma=0.5))
+    LIMIT = (Pareto(alpha=1), TruncationScheme(A=1.0, delta=0.9), AdaptiveParams(beta=0.2, gamma=0.5))
+
+    @pytest.mark.parametrize("design, rates, oracle", [
+        ("STUDY", (7.917, 10.54, 12.74), (39, 77, 145)),
+        ("LIMIT", (0.2275, 0.08528, 0.02946), (2267, 14757, 95635)),
+    ])
+    def test_rate_and_oracle_count_at_the_acceptance_designs(self, design, rates, oracle):
+        # R = 7.9, 10.5, 12.7 (STUDY) and 0.23, 0.085, 0.030 (LIMIT) at
+        # n = 1e4, 1e5, 1e6, as the acceptance suite's comments quote
+        tail, trunc, params = getattr(self, design)
+        for n, rate, k in zip((10**4, 10**5, 10**6), rates, oracle):
+            got = design_rates(tail, trunc, params, n)
+            assert got.rate == pytest.approx(rate, rel=5e-4), n
+            assert got.oracle_k == k, n
+            assert got.threshold == trunc.threshold(n)
+            assert got.oracle_k == tilde_k(n, math.ceil(got.expected_u), params.beta)
+
+    def test_about_three_capped_values_at_n_1e5_in_both_designs(self):
+        study = design_rates(*self.STUDY, 10**5).expected_capped
+        limit = design_rates(*self.LIMIT, 10**5).expected_capped
+        assert study == pytest.approx(3.127, rel=5e-4)
+        assert limit == pytest.approx(3.162, rel=5e-4)
+        assert abs(study - 3.2) < 0.1 and abs(limit - 3.2) < 0.1
+
+    def test_oracle_count_is_at_least_one_values_count(self):
+        # P(H > gamma*M_n) underflows to 0, and the cut still holds the count
+        # tilde_k(n, 1, beta) of a single value above gamma*M_n
+        tail, _, params = self.STUDY
+        got = design_rates(tail, TruncationScheme(A=1e200, delta=0.5), params, 100)
+        assert got.expected_u == 0.0
+        assert got.oracle_k == tilde_k(100, 1, params.beta) == 2
+
+    @pytest.mark.parametrize("n", [0, -5, 1.5, True, 2**63])
+    def test_n_follows_the_one_rule(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer with n >= 1 .*, got {re.escape(repr(n))}$"):
+            design_rates(*self.STUDY, n)
