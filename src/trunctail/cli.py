@@ -191,20 +191,11 @@ def _write_sample(out, values: np.ndarray) -> None:
     the text is never held whole. The formatter's module is imported here,
     before the pool forks, so the workers start with it and `import
     trunctail.cli` does not load it."""
-    from . import _reprtext  # noqa: F401
+    from . import _reprtext
 
     out.write("x\n")
     chunks = [values[i:i + _WRITE_CHUNK] for i in range(0, values.size, _WRITE_CHUNK)]
-    _map_chunks(_format_chunk, chunks, out.write)
-
-
-def _format_chunk(chunk: np.ndarray) -> str:
-    """The bytes of "\\n".join(map(repr, chunk.tolist())) + "\\n". Exact
-    integer arithmetic certifies repr's digits for all but a few values,
-    which go through repr (see _reprtext)."""
-    from ._reprtext import repr_lines
-
-    return repr_lines(chunk)
+    _map_chunks(_reprtext.repr_lines, chunks, out.write)
 
 
 def _map_chunks(func, chunks: list, sink) -> None:
@@ -264,6 +255,15 @@ def _exit_with(parent) -> None:
     os._exit(1)
 
 
+def _json_number(value) -> float:
+    """A JSON number that fits a double, as a float; a bool, a string or an
+    integer beyond the double range is refused with the value as JSON."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"must be a JSON number, got {json.dumps(value)}")
+
+
 # Each JSON spec field, its converter, and whether it is required; an absent
 # optional field keeps the library's default. Integer fields pass through as
 # parsed, since ExperimentSpec rejects floats and bools.
@@ -271,9 +271,9 @@ _SPEC_FIELDS = {
     "tail": (lambda v: parse_tail_model(str(v)), True),
     "light": (lambda v: parse_light_model(str(v)), True),
     "trunc": (lambda v: parse_truncation(str(v)), True),
-    "beta": (float, False),
-    "gamma": (float, False),
-    "level": (float, False),
+    "beta": (_json_number, False),
+    "gamma": (_json_number, False),
+    "level": (_json_number, False),
     "n_list": (lambda v: v, True),
     "replications": (lambda v: v, True),
     "base_seed": (lambda v: v, True),

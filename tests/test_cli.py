@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from trunctail import (AdaptiveParams, Burr, TruncationScheme, design_rates, replication_seed,
                        report_for_parameters)
-from trunctail import cli, montecarlo
+from trunctail import _reprtext, cli, montecarlo
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -556,7 +556,7 @@ class TestChunkPool:
             proc.stdout.close()
             proc.stderr.close()
 
-    @pytest.mark.parametrize("func", ["_format_chunk", "_parse_chunk"])
+    @pytest.mark.parametrize("func", ["repr_lines", "_parse_chunk"])
     def test_dead_worker_exits_two(self, tmp_path, monkeypatch, capsys, func):
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         sample = tmp_path / "s.csv"
@@ -565,7 +565,7 @@ class TestChunkPool:
             assert cli.main(argv) == 0
             monkeypatch.setattr(cli, "_READ_PIECE", 2**16)
             argv = ["estimate", "--input", str(sample)]
-        monkeypatch.setattr(cli, func, _die)
+        monkeypatch.setattr(_reprtext if func == "repr_lines" else cli, func, _die)
         assert cli.main(argv) == 2
         assert multiprocessing.active_children() == []
         err = capsys.readouterr().err
@@ -705,6 +705,20 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: duplicate field 'base_seed'\n"
+
+    @pytest.mark.parametrize("field", ["beta", "gamma", "level"])
+    @pytest.mark.parametrize("text", ["1" + "0" * 400, "true", '"0.8"'])
+    def test_unit_fields_take_only_json_numbers(self, tmp_path, capsys, field, text):
+        # no double holds the 400-digit integer, and a bool or a string is
+        # not a number, as the integer fields refuse them too
+        doc = self.spec_doc()
+        del doc[field]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc)[:-1] + f', "{field}": {text}}}')
+        assert cli.main(["experiment", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: field '{field}': must be a JSON number, got {text}\n"
 
     def test_level_rounding_to_one_refused_before_any_replication(self, tmp_path, monkeypatch, capsys):
         def no_replication(*args):

@@ -7,8 +7,9 @@ Valid values are drawn half the time at the edges of their range
 noisy: there about one value in ten is extreme (0, inf, nan, a negative, any
 float, text that is no number), and model strings, spec documents and flags
 may hold unknown, duplicate or missing parts. Fixed cases give each spec
-field a NaN or Infinity literal, a nested object or a repeated key, and feed
-the loader malformed JSON."""
+field a NaN or Infinity literal, a nested object or a repeated key, give the
+float fields an integer no double holds, and feed the loader malformed
+JSON."""
 
 import contextlib
 import io
@@ -221,7 +222,10 @@ class TestCliFuzz:
 
     def test_spec_field_literal_or_repeat(self, tmp_path):
         for field in cli._SPEC_FIELDS:
-            for value in ["NaN", "Infinity", "-Infinity", '{"n_list": [200]}', "[{}]", None]:
+            values = ["NaN", "Infinity", "-Infinity", '{"n_list": [200]}', "[{}]", None]
+            if field in ("beta", "gamma", "level"):  # replications would build that many tasks
+                values.append("1" + "0" * 400)
+            for value in values:
                 members = [f'"{k}": {json.dumps(v)}' for k, v in _SPEC.items() if k != field]
                 if value is None:  # the field given twice
                     members += [f'"{field}": {json.dumps(_SPEC.get(field, 0.5))}'] * 2
