@@ -31,7 +31,9 @@ from .estimator import (
     DegenerateSampleError,
     InsufficientTailDataError,
     SampleData,
+    _adopt,
     _LEVEL,
+    _TailTooShort,
     estimate,
 )
 from .montecarlo import (
@@ -56,10 +58,138 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command Ctrl-C ende
 _WRITE_CHUNK = 2**16
 # Bytes per piece of `estimate`'s file: about 100,000 lines
 _READ_PIECE = 2**21
+# Most lines, as a share of n, that _top_samples parses one at a time. A line
+# costs it about 2.5 times what it costs _read_sample_file's bulk conversion
+# on two cores, so near a third of n the full reader would be faster
+_TOP_SHARE = 1 / 8
+# Bytes per piece of _scan_lines: the first alone refuses a file in another
+# format, and smaller pieces than _READ_PIECE's keep the scan in cache
+_SCAN_PIECE = 2**18
 
 
-def _read_sample_file(path: str) -> np.ndarray:
-    """One nonnegative decimal per line; optional 'x' header; blanks ignored.
+def _sample_tops(path: str, k: int | None):
+    """Samples of estimate's file, each holding more of its top than the
+    last, for estimate to try in turn until one holds what it reads: those
+    of _top_samples, then the whole sample from _read_sample_file, which
+    gives its values or its line-numbered error."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        data = b""
+    yield from _top_samples(data, k)
+    # as the full reader alone does, free the bytes once cut and the pieces
+    # once read, before SampleData copies the values
+    pieces = _cut_lines(data)
+    del data
+    values = _read_sample_file(path, pieces)
+    del pieces
+    yield SampleData(values)
+
+
+def _top_samples(data: bytes, k: int | None):
+    """Samples of the file's top, parsed exactly, for a forced k or None.
+
+    A plain line is digits with one point, as repr writes the values in
+    [1e-4, 1e16). Its class is its count d of integer digits, so its value
+    is below 10**d, except that '0.' and digits is class 0, as is a line
+    starting with the point: below 1 = 10**0. Classes stop at 310, where
+    every line is inf. Every other line is special. A sample holds the
+    special lines and the plain lines of the classes down to c, each from
+    float() on its own bytes, as the line loop reads it. It floors at 10**b,
+    b the highest class below c (-inf when there is none): a plain line it
+    does not hold has at most b integer digits, so its decimal value is
+    below 10**b, and rounding is monotone, so its double is at most
+    float(10**b). Every value above the floor is held, the invariant of
+    _adopt, so a count or an order statistic reaching the floor raises
+    _TailTooShort and none answers wrongly.
+
+    Special lines are parsed first, with the top class, so the whole file is
+    known to be valid before the first sample. The samples stop, leaving the
+    file to the full reader, when _scan_lines refuses it, when a special
+    line is not a finite nonnegative number (a blank line is not), or when
+    the lines to hold would pass _TOP_SHARE of n."""
+    pieces = _scan_lines(data, k)
+    if pieces is None:
+        return
+    n = sum(classes.size for _, _, classes in pieces)
+    counts = sum(np.bincount(classes, minlength=311) for _, _, classes in pieces)
+    down = np.flatnonzero(counts)[::-1].tolist()
+    held = np.empty(0)
+    for c, below in zip(down, down[1:] + [None]):
+        if held.size + counts[c] > _TOP_SHARE * n:
+            return
+        bounds = []
+        for starts, ends, classes in pieces:
+            new = np.flatnonzero(classes == c)
+            bounds += zip(starts[new].tolist(), ends[new].tolist())
+        try:
+            values = np.array([float(data[s:e]) for s, e in bounds])
+        except ValueError:
+            return
+        if not (np.isfinite(values).all() and not (values < 0.0).any()):
+            return
+        held = np.concatenate((held, values))
+        try:
+            # a top class of 310 holds an inf, so below <= 308 here
+            sample = _adopt(held, n, -math.inf if below is None else float(10**below))
+        except _TailTooShort:  # what it holds rounds to the floor
+            continue
+        yield sample
+
+
+def _scan_lines(data: bytes, k: int | None):
+    """For each piece of the bytes after the header, the start, end and
+    class of its lines, special lines taking the top class. None for a file
+    with no data lines or whose last line has no line feed, when the special
+    lines of a piece pass _TOP_SHARE of its lines, as in a file written in
+    another format, or when a forced k passes _TOP_SHARE of the lines that
+    the first piece's line length gives the file."""
+    start = _header_end(data)
+    if start == len(data) or data[-1:] != b"\n":
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    pieces = []
+    while start < len(data):
+        end = data.find(b"\n", start + _SCAN_PIECE) + 1 or len(data)
+        pieces.append(_scan_piece(buf, start, end))
+        lines = pieces[-1][2].size
+        if np.count_nonzero(pieces[-1][2] < 0) > _TOP_SHARE * lines:
+            return None
+        if len(pieces) == 1 and k is not None and k > _TOP_SHARE * lines * (len(data) - start) / (end - start):
+            return None
+        start = end
+    top = max(max(int(classes.max()) for _, _, classes in pieces), 0)
+    for _, _, classes in pieces:
+        classes[classes < 0] = top
+    return pieces
+
+
+def _scan_piece(buf: np.ndarray, start: int, end: int):
+    """The start, end and class of each line in buf[start:end], which ends in
+    a line feed, with class -1 for a special line."""
+    below = buf[start:end] - 48  # a byte below b"0" wraps past 9 in uint8
+    at = np.flatnonzero(np.greater(below, 9, out=below.view(bool)))
+    at += start
+    byte = buf[at]
+    nl = np.flatnonzero(byte == 10)
+    ends = at[nl]
+    starts = np.empty_like(ends)
+    starts[0] = start
+    np.add(ends[:-1], 1, out=starts[1:])
+    # a plain line's non-digits are its point and its line feed, after the
+    # line feed before it, for which the piece's last stands in at its start
+    point = at[nl - 1]
+    plain = (byte[nl - 1] == 46) & (byte.take(nl - 2, mode="wrap") == 10) & (ends - starts > 1)
+    digits = point - starts
+    digits -= (digits == 1) & (buf[point - 1] == 48)
+    # a line of 310 or more integer digits is inf, whatever its length
+    return starts, ends, np.where(plain, np.minimum(digits, 310), -1).astype(np.int16)
+
+
+def _read_sample_file(path: str, pieces: list[bytes]) -> np.ndarray:
+    """The values of the file at path from the pieces that _cut_lines makes
+    of its bytes (none if it cannot be read): one nonnegative decimal per
+    line; optional 'x' header; blanks ignored.
 
     Each piece that _cut_lines makes goes through one numpy conversion, on
     every usable core when there are two or more pieces. The conversion
@@ -69,10 +199,6 @@ def _read_sample_file(path: str) -> np.ndarray:
     so it reads the same values. A file that does not convert cleanly is read
     again by the line loop, which raises the line-numbered error or reads the
     blank lines it allows."""
-    try:
-        pieces = _cut_lines(Path(path).read_bytes())
-    except OSError:
-        pieces = []
     if pieces:
         parts: list[np.ndarray] = []
         try:
@@ -87,22 +213,27 @@ def _read_sample_file(path: str) -> np.ndarray:
 
 
 def _cut_lines(data: bytes) -> list[bytes]:
-    """The bytes after the first line if it is an 'x' header, cut just after
-    a line feed every _READ_PIECE bytes or so. A line feed always ends a line,
-    so the pieces' lines are the file's lines. The header test strips only
-    spaces and tabs, the whitespace bytes.splitlines leaves inside a line. A
-    file with a NUL byte gives no pieces, since numpy's fixed-width strings
-    drop trailing NULs."""
+    """The bytes after the header (_header_end), cut just after a line feed
+    every _READ_PIECE bytes or so. A line feed always ends a line, so the
+    pieces' lines are the file's lines. A file with a NUL byte gives no
+    pieces, since numpy's fixed-width strings drop trailing NULs."""
     if b"\0" in data:
         return []
-    first = data[:data.find(b"\n") + 1 or None].splitlines(keepends=True)[:1]
-    start = len(first[0]) if first and first[0].rstrip(b"\r\n").strip(b" \t").lower() == b"x" else 0
+    start = _header_end(data)
     pieces = []
     while start < len(data):
         end = data.find(b"\n", start + _READ_PIECE) + 1 or len(data)
         pieces.append(data[start:end])
         start = end
     return pieces
+
+
+def _header_end(data: bytes) -> int:
+    """Where the data lines start: after the first line if it is an 'x'
+    header. The header test strips only spaces and tabs, the whitespace
+    bytes.splitlines leaves inside a line."""
+    first = data[:data.find(b"\n") + 1 or None].splitlines(keepends=True)[:1]
+    return len(first[0]) if first and first[0].rstrip(b"\r\n").strip(b" \t").lower() == b"x" else 0
 
 
 def _parse_chunk(piece: bytes) -> np.ndarray:
@@ -148,11 +279,18 @@ def _env_seed() -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    sample = SampleData(_read_sample_file(args.input))
+    samples = _sample_tops(args.input, args.k)
+    sample = next(samples)
     params = AdaptiveParams(beta=args.beta, gamma=args.gamma)
-    est = estimate(sample, params, level=args.level, k=args.k)
+    while True:
+        try:
+            est = estimate(sample, params, level=args.level, k=args.k)
+            c_statistic = sample_c_statistic(sample, params)
+            break
+        except _TailTooShort:
+            sample = next(samples)
     doc = est.to_dict()
-    doc["c_statistic"] = sample_c_statistic(sample, params)
+    doc["c_statistic"] = c_statistic
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -255,6 +393,26 @@ def _exit_with(parent) -> None:
     os._exit(1)
 
 
+class _LongInt(str):
+    """The digits of a JSON integer longer than int() converts (4,300 by
+    default), kept so that its field is refused by name."""
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt(text)
+
+
+def _no_long_int(value):
+    """value, refused if it is or lists a _LongInt: no field takes one."""
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, _LongInt):
+            raise ValueError(f"integer of {len(item.lstrip('-'))} digits is out of range")
+    return value
+
+
 def _json_number(value) -> float:
     """A JSON number that fits a double, as a float; a bool, a string or an
     integer beyond the double range is refused with the value as JSON."""
@@ -293,7 +451,7 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_experiment_spec(path: str) -> ExperimentSpec:
     try:
-        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys, parse_int=_json_int)
         if not isinstance(doc, dict):
             raise ValueError("top level must be a JSON object")
         unknown = set(doc) - set(_SPEC_FIELDS)
@@ -303,7 +461,7 @@ def _load_experiment_spec(path: str) -> ExperimentSpec:
         for name, (convert, required) in _SPEC_FIELDS.items():
             if name in doc:
                 try:
-                    kw[name] = convert(doc[name])
+                    kw[name] = convert(_no_long_int(doc[name]))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"field '{name}': {exc}") from None
             elif required:

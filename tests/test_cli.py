@@ -173,6 +173,10 @@ def _long_sample_file(draw) -> bytes:
     return data.rstrip(b"\r\n") if draw(st.booleans()) else data
 
 
+def _read_file(path: str):
+    return cli._read_sample_file(path, cli._cut_lines(Path(path).read_bytes()))
+
+
 def _read_outcome(read, path):
     """The values' bytes, or the message that main prints after 'error: '
     before exiting 2."""
@@ -189,7 +193,7 @@ class TestSampleFileReader:
     def test_one_conversion_equals_line_loop(self, tmp_path, data):
         path = tmp_path / "sample.csv"
         path.write_bytes(data)
-        assert _read_outcome(cli._read_sample_file, path) == _read_outcome(cli._read_sample_lines, path)
+        assert _read_outcome(_read_file, path) == _read_outcome(cli._read_sample_lines, path)
 
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -201,7 +205,7 @@ class TestSampleFileReader:
             pieces = cli._cut_lines(data)
             assert data.endswith(b"".join(pieces))
             assert all(p.endswith(b"\n") for p in pieces[:-1])
-            assert _read_outcome(cli._read_sample_file, path) == _read_outcome(cli._read_sample_lines, path)
+            assert _read_outcome(_read_file, path) == _read_outcome(cli._read_sample_lines, path)
 
     def test_pieces_converted_on_the_pool_keep_their_order(self, tmp_path, monkeypatch):
         lines = [repr(v) for v in np.random.default_rng(3).pareto(1.0, 3000).tolist()]
@@ -212,7 +216,7 @@ class TestSampleFileReader:
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "_read_sample_lines", None)
         assert len(cli._cut_lines(path.read_bytes())) > 10
-        values = cli._read_sample_file(str(path))
+        values = _read_file(str(path))
         assert multiprocessing.active_children() == []
         assert values.tobytes() == np.array([float(s) for s in lines]).tobytes()
 
@@ -220,9 +224,162 @@ class TestSampleFileReader:
         path = tmp_path / "sample.csv"
         path.write_bytes(b" X\t\r\n8\r\n4.5 \n1e-3\n-0.0\n2_0\r0")
         monkeypatch.setattr(cli, "_read_sample_lines", None)
-        values = cli._read_sample_file(str(path))
+        values = _read_file(str(path))
         assert values.dtype == np.float64
         assert values.tobytes() == np.array([8.0, 4.5, 1e-3, -0.0, 20.0, 0.0]).tobytes()
+
+
+# Lines for the top reader: repr of values from 1e-6 to 1e5, plain in every
+# class from 0 to 5 and in exponent form below 1e-4, or of a heavy tail above
+# 1, and lines in every other form the line loop reads or refuses, some of
+# them one check away from plain
+_PLAIN = st.one_of(st.floats(-6.0, 5.0).map(lambda e: repr(10.0**e)),
+                   st.floats(1e-3, 1.0).map(lambda u: repr(u**-2.0)))
+_SPECIAL = st.sampled_from([
+    "", " ", "7", "0", "0.0", "-0.0", ".5", "5.", "007.5", "00.5", "0.", "1e-05", "1e+16", "1_0.5",
+    " 3.5", "3.5 ", "\t3.5", "\x0b3.5", "3.5\x0c", "3.5\r4.5", "3.5\x1c", "nan", "inf", "-1.5", "abc", "x",
+    "\xa03.5", "\u0663", "3.5\x00", "\x00", "1.2.3", ".", "99.99999999999999999", "1" * 400 + ".5",
+    "1e5", "-5", "+5", "1e.5", "5.5.", "2.5e2",
+])
+
+
+@st.composite
+def _top_file(draw) -> bytes:
+    """A sample file of plain lines with, at times, special lines, other
+    headers and line breaks, no final line feed, or a byte UTF-8 refuses."""
+    header = draw(st.sampled_from(["", "x\n", "X\n", " x \n", "x\r\n", "x\r", "\rx\n"]))
+    lines = draw(st.lists(st.one_of(*[_PLAIN] * 8, _SPECIAL), min_size=1, max_size=60))
+    breaks = draw(st.lists(st.sampled_from(["\n"] * 12 + ["\r\n", "\r"]), min_size=len(lines),
+                           max_size=len(lines)))
+    text = header + "".join(line + br for line, br in zip(lines, breaks))
+    if draw(st.integers(0, 9)) == 0:
+        text = text.rstrip("\r\n")
+    return text.encode() + (b"\xff\n" if draw(st.integers(0, 19)) == 0 else b"")
+
+
+@st.composite
+def _estimate_flags(draw) -> list[str]:
+    flags = []
+    for name, values in (("beta", ["0.3", "0.9"]), ("gamma", ["0.05", "0.19", "0.9"]),
+                         ("level", ["0.5", "0.999999", "1.5"])):
+        if draw(st.booleans()):
+            flags.append(f"--{name}={draw(st.sampled_from(values))}")
+    if draw(st.integers(0, 2)) == 0:
+        flags.append(f"--k={draw(st.integers(1, 62))}")
+    return flags
+
+
+def _estimate_outcomes(path, flags, capsys) -> list:
+    """estimate's exit code, stdout and stderr on the file at path from the
+    full path alone, from the top reader on every file it takes, and at the
+    top reader's own share."""
+    outcomes = []
+    for share in (0, 1, cli._TOP_SHARE):
+        with mock.patch.object(cli, "_TOP_SHARE", share):
+            code = cli.main(["estimate", "--input", str(path), *flags])
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+# Plain values of classes 0 to 4, largest last, and files of them with what
+# the top reader must read as the line loop does
+_CLASSES = [repr(v) for v in (10.0 ** np.linspace(-3.9, 3.9, 40)).tolist()]
+_FIXED_FILES = [
+    "\n".join(_CLASSES) + "\n",
+    "x\n" + "\n".join(["007.5", "0.5", "00.25", ".5", "5.", "12"] + _CLASSES) + "\n",
+    "X\n" + "\n".join(["1e-05", "1e+16", "1_0.5", "2e2"] + _CLASSES) + "\n",
+    " x \r\n" + "\r\n".join(_CLASSES) + "\r\n",
+    "x\n" + "\n".join(_CLASSES[:20]) + "\r" + "\n".join(_CLASSES[20:]) + "\n",
+    "x\n" + "\n".join(_CLASSES[:20] + [" 3.5\t", "3.5\r", "\x0b3.5", "3.5\x0c"] + _CLASSES[20:]) + "\n",
+    "x\n" + "\n".join(_CLASSES[:20] + [""] + _CLASSES[20:]) + "\n",
+    *["x\n" + "\n".join(_CLASSES[:20] + [bad] + _CLASSES[20:]) + "\n"
+      for bad in ["-1.5", "1.2.3", ".", "3.5\r4.5", "1e5", "-5", "1e.5", "0x5", "1 5"]],
+    "x\n" + "\n".join(["500.5", "400.5", *["50.5"] * 20, "1e-05", "20.5"] + _CLASSES[:20]) + "\n",
+    "x\n" + "\n".join(_CLASSES) + "\n\n",
+    "x\n" + "\n".join(_CLASSES),
+    "x\n" + "\n".join(_CLASSES + ["\xa03.5"]) + "\n",
+    "x\n" + "\n".join(_CLASSES + ["3.5\x00"]) + "\n",
+    "x\n" + "\n".join(_CLASSES + ["nan"]) + "\n",
+    "x\n" + "\n".join(_CLASSES + ["-0.0", "-1.5"]) + "\n",
+    # 99.99999999999999999 rounds to 100.0, the floor below class 3
+    "x\n" + "\n".join(["500.5", "99.99999999999999999", "100.0", "99.5"] + _CLASSES[:30]) + "\n",
+    "x\n" + "\n".join(["1" * 400 + ".5"] + _CLASSES) + "\n",
+    "x\n" + "\n".join(["1" * 308 + ".5"] + _CLASSES) + "\n",
+    "x\n" + "\n".join(["5.0"] * 30) + "\n",
+    "x\n" + "\n".join(["0.0"] * 30) + "\n",
+    "x\n" + "\n".join(["0.0"] * 29 + ["5.0"]) + "\n",
+]
+
+
+class TestSampleTops:
+    @settings(max_examples=500, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_top_file(), flags=_estimate_flags())
+    def test_top_reader_matches_the_full_path(self, tmp_path, capsys, data, flags):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(data)
+        full, top, shared = _estimate_outcomes(path, flags, capsys)
+        assert top == full
+        assert shared == full
+
+    @pytest.mark.parametrize("text", _FIXED_FILES, ids=[f"file{i}" for i in range(len(_FIXED_FILES))])
+    @pytest.mark.parametrize("flags", [[], ["--gamma=0.19"], ["--level=0.999999"], ["--k=2"], ["--k=30"],
+                                       ["--gamma=0.05", "--k=2"]])
+    def test_fixed_files_match_the_full_path(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(text.encode())
+        full, top, shared = _estimate_outcomes(path, flags, capsys)
+        assert top == full
+        assert shared == full
+
+    def test_every_forced_k_matches_the_full_path(self, tmp_path, capsys):
+        path = tmp_path / "sample.csv"
+        path.write_text("x\n" + "\n".join(_CLASSES) + "\n")
+        for k in range(1, len(_CLASSES) + 2):
+            full, top, shared = _estimate_outcomes(path, [f"--k={k}"], capsys)
+            assert top == full
+            assert shared == full
+
+    def test_answers_from_the_classes_it_needs(self, tmp_path, monkeypatch, capsys):
+        # V = 2 above 250.25 and k = 18 at the default beta: the two values of
+        # class 3 give V, and the forty of class 2 give the top 18
+        lines = ["500.5", "260.25", *[f"{10 + i}.5" for i in range(40)],
+                 *[f"{1 + i % 9}.25" for i in range(500)], *["0.5"] * 3000, "1e-05"]
+        path = tmp_path / "sample.csv"
+        path.write_text("x\n" + "\n".join(lines) + "\n")
+        samples, original = [], cli._adopt
+
+        def adopt(values, n, floor):
+            samples.append((sorted(values.tolist()), n, floor))
+            return original(values, n, floor)
+
+        full = _estimate_outcomes(path, [], capsys)[0]
+        monkeypatch.setattr(cli, "_read_sample_file", None)
+        with mock.patch.object(cli, "_adopt", adopt):
+            assert (cli.main(["estimate", "--input", str(path)]), *capsys.readouterr()) == full
+        top = [1e-05, 260.25, 500.5]
+        assert samples == [(top, len(lines), 100.0),
+                           (sorted(top + [10.5 + i for i in range(40)]), len(lines), 10.0)]
+        assert json.loads(full[1])["k_hat"] == 18
+
+    @pytest.mark.parametrize("ending, flags", [("\r\n", []), ("\n", ["--k=2000"])])
+    def test_other_formats_leave_after_the_first_piece(self, tmp_path, monkeypatch, capsys, ending, flags):
+        # a file of CRLF lines, or a forced k past the top reader's share
+        lines = [repr(v) for v in np.random.default_rng(5).pareto(2.0, 5000).tolist()]
+        path = tmp_path / "sample.csv"
+        path.write_bytes(("x" + ending + ending.join(lines) + ending).encode())
+        monkeypatch.setattr(cli, "_SCAN_PIECE", 4096)
+        pieces, original = [], cli._scan_piece
+
+        def scan_piece(*args):
+            pieces.append(args[1:])
+            return original(*args)
+
+        full = _estimate_outcomes(path, flags, capsys)[0]
+        with mock.patch.object(cli, "_scan_piece", scan_piece):
+            assert (cli.main(["estimate", "--input", str(path), *flags]), *capsys.readouterr()) == full
+        assert len(pieces) == 1
+        assert full[0] == 0
 
 
 class TestDiagnoseCommand:
@@ -408,7 +565,7 @@ class TestSimulateCommand:
             (tmp_path / "stdout.csv").write_text(printed)
             assert len(pools) == (0 if cores == 1 else 2)
             for path in (out, tmp_path / "stdout.csv"):
-                assert cli._read_sample_file(str(path)).tobytes() == values.tobytes()
+                assert _read_file(str(path)).tobytes() == values.tobytes()
 
     def test_closed_stdout_pipe_exits_quietly(self):
         proc = subprocess.Popen(
@@ -563,6 +720,8 @@ class TestChunkPool:
         argv = [*TestSimulateCommand.ARGS[:-4], "--n", str(3 * cli._WRITE_CHUNK), "--output", str(sample)]
         if func == "_parse_chunk":
             assert cli.main(argv) == 0
+            # estimate reads a CRLF file on the pool, not from its top alone
+            sample.write_bytes(sample.read_bytes().replace(b"\n", b"\r\n"))
             monkeypatch.setattr(cli, "_READ_PIECE", 2**16)
             argv = ["estimate", "--input", str(sample)]
         monkeypatch.setattr(_reprtext if func == "repr_lines" else cli, func, _die)
@@ -719,6 +878,20 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: field '{field}': must be a JSON number, got {text}\n"
+
+    @pytest.mark.parametrize("field", ["beta", "gamma", "level", "n_list", "replications", "base_seed"])
+    def test_integer_past_the_int_digit_limit_names_its_field(self, tmp_path, capsys, field):
+        # int() converts at most 4,300 digits, and json.loads would raise its
+        # message, which names no field
+        doc = self.spec_doc()
+        del doc[field]
+        digits = "1" + "0" * 5000
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc)[:-1] + f', "{field}": ' + (f"[{digits}]" if field == "n_list" else digits) + "}")
+        assert cli.main(["experiment", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: field '{field}': integer of 5001 digits is out of range\n"
 
     def test_level_rounding_to_one_refused_before_any_replication(self, tmp_path, monkeypatch, capsys):
         def no_replication(*args):
