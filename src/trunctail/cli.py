@@ -8,43 +8,53 @@ Exit codes: 0 success, 2 usage/validation, 3 insufficient tail data,
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
+import importlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .diagnostics import report_for_parameters, sample_c_statistic
-from .distributions import (
-    TruncatedSampleSpec,
-    parse_light_model,
-    parse_tail_model,
-    parse_truncation,
-    sample_truncated,
-)
-from .estimator import (
+from ._params import (
+    _LEVEL,
     AdaptiveParams,
     DegenerateSampleError,
-    InsufficientTailDataError,
-    SampleData,
-    _adopt,
-    _LEVEL,
-    _TailTooShort,
-    estimate,
-)
-from .montecarlo import (
     ExperimentError,
-    ExperimentSpec,
-    _usable_cores,
-    aggregate_json,
-    qq_csv,
-    replications_csv,
-    run_experiment,
+    InsufficientTailDataError,
+    report_for_parameters,
 )
+
+# The names that the numpy commands call, by module. A command binds its
+# modules' names into this module's globals (_bind) before it runs, so that
+# `trunctail diagnose`, which needs none, imports no numpy. A name already
+# bound, by an earlier command or by a caller that rebinds it, is kept.
+_NUMPY_NAMES = {
+    "diagnostics": ("sample_c_statistic",),
+    "distributions": ("TruncatedSampleSpec", "parse_light_model", "parse_tail_model",
+                      "parse_truncation", "sample_truncated"),
+    "estimator": ("SampleData", "_TailTooShort", "estimate"),
+    "montecarlo": ("ExperimentSpec", "aggregate_json", "qq_csv", "replications_csv",
+                   "run_experiment"),
+}
+
+
+def _bind(*modules: str) -> None:
+    for module in modules:
+        found = vars(importlib.import_module(f".{module}", __package__))
+        for name in _NUMPY_NAMES[module]:
+            globals().setdefault(name, found[name])
+
+
+def __getattr__(name: str):
+    """A numpy command's name, bound on first access (PEP 562). Every other
+    name is missing as usual, so that a probe such as the import system's
+    hasattr(cli, "__path__") imports nothing."""
+    for module, names in _NUMPY_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SEED_ENV_VAR = "TRUNCTAIL_SEED"
 
@@ -54,218 +64,27 @@ EXIT_INSUFFICIENT_TAIL = 3
 EXIT_EXPERIMENT_FAILED = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command Ctrl-C ended
 
-# Values per chunk of `simulate`'s text: about 1.3 MB
-_WRITE_CHUNK = 2**16
-# Bytes per piece of `estimate`'s file: about 100,000 lines
-_READ_PIECE = 2**21
-# Most lines, as a share of n, that _top_samples parses one at a time. A line
-# costs it about 2.5 times what it costs _read_sample_file's bulk conversion
-# on two cores, so near a third of n the full reader would be faster
-_TOP_SHARE = 1 / 8
-# Bytes per piece of _scan_lines: the first alone refuses a file in another
-# format, and smaller pieces than _READ_PIECE's keep the scan in cache
-_SCAN_PIECE = 2**18
-
 
 def _sample_tops(path: str, k: int | None):
     """Samples of estimate's file, each holding more of its top than the
     last, for estimate to try in turn until one holds what it reads: those
-    of _top_samples, then the whole sample from _read_sample_file, which
-    gives its values or its line-numbered error."""
+    of _samplefile._top_samples, then the whole sample from
+    _samplefile._read_sample_file, which gives its values or its
+    line-numbered error."""
+    from . import _samplefile
+
     try:
         data = Path(path).read_bytes()
     except OSError:
         data = b""
-    yield from _top_samples(data, k)
+    yield from _samplefile._top_samples(data, k)
     # as the full reader alone does, free the bytes once cut and the pieces
     # once read, before SampleData copies the values
-    pieces = _cut_lines(data)
+    pieces = _samplefile._cut_lines(data)
     del data
-    values = _read_sample_file(path, pieces)
+    values = _samplefile._read_sample_file(path, pieces)
     del pieces
     yield SampleData(values)
-
-
-def _top_samples(data: bytes, k: int | None):
-    """Samples of the file's top, parsed exactly, for a forced k or None.
-
-    A plain line is digits with one point, as repr writes the values in
-    [1e-4, 1e16). Its class is its count d of integer digits, so its value
-    is below 10**d, except that '0.' and digits is class 0, as is a line
-    starting with the point: below 1 = 10**0. Classes stop at 310, where
-    every line is inf. Every other line is special. A sample holds the
-    special lines and the plain lines of the classes down to c, each from
-    float() on its own bytes, as the line loop reads it. It floors at 10**b,
-    b the highest class below c (-inf when there is none): a plain line it
-    does not hold has at most b integer digits, so its decimal value is
-    below 10**b, and rounding is monotone, so its double is at most
-    float(10**b). Every value above the floor is held, the invariant of
-    _adopt, so a count or an order statistic reaching the floor raises
-    _TailTooShort and none answers wrongly.
-
-    Special lines are parsed first, with the top class, so the whole file is
-    known to be valid before the first sample. The samples stop, leaving the
-    file to the full reader, when _scan_lines refuses it, when a special
-    line is not a finite nonnegative number (a blank line is not), or when
-    the lines to hold would pass _TOP_SHARE of n."""
-    pieces = _scan_lines(data, k)
-    if pieces is None:
-        return
-    n = sum(classes.size for _, _, classes in pieces)
-    counts = sum(np.bincount(classes, minlength=311) for _, _, classes in pieces)
-    down = np.flatnonzero(counts)[::-1].tolist()
-    held = np.empty(0)
-    for c, below in zip(down, down[1:] + [None]):
-        if held.size + counts[c] > _TOP_SHARE * n:
-            return
-        bounds = []
-        for starts, ends, classes in pieces:
-            new = np.flatnonzero(classes == c)
-            bounds += zip(starts[new].tolist(), ends[new].tolist())
-        try:
-            values = np.array([float(data[s:e]) for s, e in bounds])
-        except ValueError:
-            return
-        if not (np.isfinite(values).all() and not (values < 0.0).any()):
-            return
-        held = np.concatenate((held, values))
-        try:
-            # a top class of 310 holds an inf, so below <= 308 here
-            sample = _adopt(held, n, -math.inf if below is None else float(10**below))
-        except _TailTooShort:  # what it holds rounds to the floor
-            continue
-        yield sample
-
-
-def _scan_lines(data: bytes, k: int | None):
-    """For each piece of the bytes after the header, the start, end and
-    class of its lines, special lines taking the top class. None for a file
-    with no data lines or whose last line has no line feed, when the special
-    lines of a piece pass _TOP_SHARE of its lines, as in a file written in
-    another format, or when a forced k passes _TOP_SHARE of the lines that
-    the first piece's line length gives the file."""
-    start = _header_end(data)
-    if start == len(data) or data[-1:] != b"\n":
-        return None
-    buf = np.frombuffer(data, np.uint8)
-    pieces = []
-    while start < len(data):
-        end = data.find(b"\n", start + _SCAN_PIECE) + 1 or len(data)
-        pieces.append(_scan_piece(buf, start, end))
-        lines = pieces[-1][2].size
-        if np.count_nonzero(pieces[-1][2] < 0) > _TOP_SHARE * lines:
-            return None
-        if len(pieces) == 1 and k is not None and k > _TOP_SHARE * lines * (len(data) - start) / (end - start):
-            return None
-        start = end
-    top = max(max(int(classes.max()) for _, _, classes in pieces), 0)
-    for _, _, classes in pieces:
-        classes[classes < 0] = top
-    return pieces
-
-
-def _scan_piece(buf: np.ndarray, start: int, end: int):
-    """The start, end and class of each line in buf[start:end], which ends in
-    a line feed, with class -1 for a special line."""
-    below = buf[start:end] - 48  # a byte below b"0" wraps past 9 in uint8
-    at = np.flatnonzero(np.greater(below, 9, out=below.view(bool)))
-    at += start
-    byte = buf[at]
-    nl = np.flatnonzero(byte == 10)
-    ends = at[nl]
-    starts = np.empty_like(ends)
-    starts[0] = start
-    np.add(ends[:-1], 1, out=starts[1:])
-    # a plain line's non-digits are its point and its line feed, after the
-    # line feed before it, for which the piece's last stands in at its start
-    point = at[nl - 1]
-    plain = (byte[nl - 1] == 46) & (byte.take(nl - 2, mode="wrap") == 10) & (ends - starts > 1)
-    digits = point - starts
-    digits -= (digits == 1) & (buf[point - 1] == 48)
-    # a line of 310 or more integer digits is inf, whatever its length
-    return starts, ends, np.where(plain, np.minimum(digits, 310), -1).astype(np.int16)
-
-
-def _read_sample_file(path: str, pieces: list[bytes]) -> np.ndarray:
-    """The values of the file at path from the pieces that _cut_lines makes
-    of its bytes (none if it cannot be read): one nonnegative decimal per
-    line; optional 'x' header; blanks ignored.
-
-    Each piece that _cut_lines makes goes through one numpy conversion, on
-    every usable core when there are two or more pieces. The conversion
-    parses each line as float() parses bytes: ASCII only, with ASCII
-    whitespace around the number. The line loop also breaks lines at
-    vertical tabs and form feeds, which here can only sit in that whitespace,
-    so it reads the same values. A file that does not convert cleanly is read
-    again by the line loop, which raises the line-numbered error or reads the
-    blank lines it allows."""
-    if pieces:
-        parts: list[np.ndarray] = []
-        try:
-            _map_chunks(_parse_chunk, pieces, parts.append)
-        except ValueError:
-            pass
-        else:
-            values = np.concatenate(parts)
-            if np.isfinite(values).all() and not (values < 0.0).any():
-                return values
-    return np.array(_read_sample_lines(path))
-
-
-def _cut_lines(data: bytes) -> list[bytes]:
-    """The bytes after the header (_header_end), cut just after a line feed
-    every _READ_PIECE bytes or so. A line feed always ends a line, so the
-    pieces' lines are the file's lines. A file with a NUL byte gives no
-    pieces, since numpy's fixed-width strings drop trailing NULs."""
-    if b"\0" in data:
-        return []
-    start = _header_end(data)
-    pieces = []
-    while start < len(data):
-        end = data.find(b"\n", start + _READ_PIECE) + 1 or len(data)
-        pieces.append(data[start:end])
-        start = end
-    return pieces
-
-
-def _header_end(data: bytes) -> int:
-    """Where the data lines start: after the first line if it is an 'x'
-    header. The header test strips only spaces and tabs, the whitespace
-    bytes.splitlines leaves inside a line."""
-    first = data[:data.find(b"\n") + 1 or None].splitlines(keepends=True)[:1]
-    return len(first[0]) if first and first[0].rstrip(b"\r\n").strip(b" \t").lower() == b"x" else 0
-
-
-def _parse_chunk(piece: bytes) -> np.ndarray:
-    return np.array(piece.splitlines(), dtype=float)
-
-
-def _read_sample_lines(path: str) -> list[float]:
-    """The line-by-line reader: the reference for _read_sample_file's
-    conversion of pieces and the source of every reader error."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s:
-            continue
-        if lineno == 1 and s.lower() == "x":
-            continue
-        try:
-            v = float(s)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: not a number: {s!r}") from None
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(
-                f"{path}: line {lineno}: values must be finite and nonnegative, got {s}"
-            )
-        values.append(v)
-    if not values:
-        raise ValueError(f"{path}: no data values")
-    return values
 
 
 def _env_seed() -> int:
@@ -279,6 +98,7 @@ def _env_seed() -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    _bind("estimator", "diagnostics")
     samples = _sample_tops(args.input, args.k)
     sample = next(samples)
     params = AdaptiveParams(beta=args.beta, gamma=args.gamma)
@@ -302,6 +122,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import _samplefile
+
+    _bind("distributions")
     tail = parse_tail_model(args.tail)
     light = parse_light_model(args.light)
     trunc = parse_truncation(args.trunc)
@@ -310,7 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sample = sample_truncated(spec)
     try:
         with Path(args.output).open("w") if args.output else contextlib.nullcontext(sys.stdout) as out:
-            _write_sample(out, sample.values)
+            _samplefile._write_sample(out, sample.values)
             out.flush()
     except BrokenPipeError:
         # The reader stopped early (`trunctail simulate ... | head`, or an
@@ -320,77 +143,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return EXIT_OK
-
-
-def _write_sample(out, values: np.ndarray) -> None:
-    """The 'x' header, then repr of each value on its own line. The values are
-    formatted _WRITE_CHUNK at a time, on every usable core when there is more
-    than one chunk, and written in order as each chunk's text is ready, so
-    the text is never held whole. The formatter's module is imported here,
-    before the pool forks, so the workers start with it and `import
-    trunctail.cli` does not load it."""
-    from . import _reprtext
-
-    out.write("x\n")
-    chunks = [values[i:i + _WRITE_CHUNK] for i in range(0, values.size, _WRITE_CHUNK)]
-    _map_chunks(_reprtext.repr_lines, chunks, out.write)
-
-
-def _map_chunks(func, chunks: list, sink) -> None:
-    """sink(func(chunk)) for each chunk, in order. With two or more chunks
-    and usable cores, and 'fork' available, func runs in a pool of forked
-    processes, one per usable core, with at most two chunks per worker in
-    flight; otherwise it runs here. If sink or func raises, the chunks not
-    yet started are cancelled and the workers joined before the exception
-    goes on. A worker that dies raises ChildProcessError, which main reports
-    as an OSError. The pool modules are imported only on the pool path."""
-    workers = min(len(chunks), _usable_cores())
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers < 2:
-        for chunk in chunks:
-            sink(func(chunk))
-        return
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    # a forked worker flushes the standard streams as it exits, so anything
-    # they hold now would be written twice
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker)
-    try:
-        pending = collections.deque()
-        for chunk in chunks:
-            if len(pending) == 2 * workers:
-                sink(pending.popleft().result())
-            pending.append(pool.submit(func, chunk))
-        while pending:
-            sink(pending.popleft().result())
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(str(exc)) from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _start_worker() -> None:
-    """Leave Ctrl-C to the parent, which cancels the chunks and joins the
-    workers, and end the worker when the parent ends: a killed parent
-    cannot join it, and it would wait for chunks forever."""
-    import multiprocessing
-    import signal
-    import threading
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=_exit_with, args=(multiprocessing.parent_process(),), daemon=True).start()
-
-
-def _exit_with(parent) -> None:
-    parent.join()
-    os._exit(1)
 
 
 class _LongInt(str):
@@ -479,6 +231,7 @@ def _load_experiment_spec(path: str) -> ExperimentSpec:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    _bind("distributions", "montecarlo")
     spec = _load_experiment_spec(args.spec)
     result = run_experiment(spec, max_workers=args.threads)
     agg = aggregate_json(result.reports)

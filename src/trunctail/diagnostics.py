@@ -11,16 +11,28 @@ growth conditions reduce to exponent inequalities:
 Both are strict: at equality the first stalls at a constant and the second
 is blown up by the squared logarithm, so boundaries count as failures.
 ``design_rates`` gives these quantities in closed form for one design and n.
+The exponent windows are re-exported from the numpy-free ``_params``, which
+is all that ``trunctail diagnose`` imports.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .distributions import _check_n, _reciprocal, _require_positive
-from .estimator import AdaptiveParams, SampleData, _adopt, _check_unit, tilde_k, v_count
+from ._params import (
+    BOUNDARY,
+    FAILS,
+    HOLDS,
+    AdaptiveParams,
+    AssumptionReport,
+    _check_n,
+    beta_feasible_range,
+    check_assumptions,
+    delta_feasible_range,
+    report_for_parameters,
+)
+from .estimator import SampleData, _adopt, _TailTooShort, tilde_k, v_count
 
 __all__ = [
     "HOLDS",
@@ -40,122 +52,8 @@ __all__ = [
     "c_statistic_trend",
 ]
 
-HOLDS = "holds"
-FAILS = "fails"
-BOUNDARY = "boundary"
-
 DECREASING = "decreasing"
 NOT_DECREASING = "not decreasing"
-
-# exponent equalities within this relative tolerance classify as boundary
-_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Verdicts on the growth conditions plus the feasible beta window."""
-
-    b_holds: str
-    c_holds: str
-    beta_window: tuple[float, float] | None
-    rho_condition: bool | None
-    notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        lo, hi = self.beta_window if self.beta_window is not None else (None, None)
-        return {
-            "b_holds": self.b_holds,
-            "c_holds": self.c_holds,
-            "beta_window_lo": lo,
-            "beta_window_hi": hi,
-            "rho_ok": self.rho_condition,
-            "notes": list(self.notes),
-        }
-
-
-def _verdict(value: float, holds: bool) -> str:
-    """Verdict on an exponent condition whose critical value is 1."""
-    if math.isclose(value, 1.0, rel_tol=_REL_TOL):
-        return BOUNDARY
-    return HOLDS if holds else FAILS
-
-
-def beta_feasible_range(alpha: float, rho: float | None) -> tuple[float, float] | None:
-    """Open beta window (max(1 - 1/alpha, 0, 1/(1 - rho)), 1); None if empty.
-
-    rho None means a first-order exact tail, which drops the 1/(1 - rho) term.
-    """
-    alpha = _require_positive("alpha", alpha)
-    lo = max(1.0 - 1.0 / alpha, 0.0)
-    if rho is not None:
-        if not rho < 0.0:
-            raise ValueError(f"rho must be negative, got {rho}")
-        lo = max(lo, 1.0 / (1.0 - rho))
-    return (lo, 1.0) if lo < 1.0 else None
-
-
-def delta_feasible_range(alpha: float, beta: float) -> tuple[float, float]:
-    """Open delta window (1/(alpha*(2 - beta)), 1/alpha); nonempty for beta < 1."""
-    alpha = _require_positive("alpha", alpha)
-    beta = _check_unit("beta", beta)
-    return (1.0 / (alpha * (2.0 - beta)), _reciprocal("alpha", alpha))
-
-
-def report_for_parameters(alpha: float, rho: float | None, beta: float, delta: float) -> AssumptionReport:
-    """Classify the growth conditions from the exponents alone.
-
-    rho is the second-order exponent, or None for a first-order exact tail.
-    Scale-free: the threshold constant A never enters the verdicts.
-    """
-    alpha = _require_positive("alpha", alpha)
-    delta = _require_positive("delta", delta)
-    beta = _check_unit("beta", beta)
-    ad = alpha * delta
-    adb = ad * (2.0 - beta)
-    if not math.isfinite(adb):
-        raise ValueError(
-            f"alpha*delta*(2-beta) overflows: alpha = {alpha!r}, delta = {delta!r}"
-        )
-    b = _verdict(ad, ad < 1.0)
-    c = _verdict(adb, adb > 1.0)
-    notes: list[str] = []
-    if b == BOUNDARY:
-        notes.append(
-            "alpha*delta = 1 exactly: n*P(H > M_n) stalls instead of diverging"
-        )
-    elif b == FAILS:
-        notes.append(f"alpha*delta = {ad:g} >= 1: not in the truncated regime")
-    if c == BOUNDARY:
-        notes.append(
-            "alpha*delta*(2-beta) = 1 exactly: the squared-log factor diverges,"
-            " so the vanishing condition fails"
-        )
-    elif c == FAILS:
-        notes.append(f"alpha*delta*(2-beta) = {adb:g} <= 1: threshold grows too slowly")
-    window = beta_feasible_range(alpha, rho)
-    if rho is None:
-        rho_ok = None
-        notes.append("first-order exact tail: no second-order constraint on beta")
-    else:
-        bound = -(1.0 - beta) / beta  # overflows to -inf at a subnormal beta, where only rho = -inf is below it
-        rho_ok = rho < bound or rho == -math.inf
-        if not rho_ok:
-            shown = f"= {bound:g}" if math.isfinite(bound) else f"< {-sys.float_info.max:g}"
-            notes.append(f"rho = {rho:g} is not below -(1-beta)/beta {shown}")
-    if window is not None and not window[0] < beta < window[1]:
-        notes.append(f"beta = {beta:g} sits outside the feasible window ({window[0]:g}, 1)")
-    return AssumptionReport(
-        b_holds=b,
-        c_holds=c,
-        beta_window=window,
-        rho_condition=rho_ok,
-        notes=tuple(notes),
-    )
-
-
-def check_assumptions(model, trunc, beta: float) -> AssumptionReport:
-    """``report_for_parameters`` with alpha and rho read from a tail model."""
-    return report_for_parameters(model.alpha, model.rho, beta, trunc.delta)
 
 
 @dataclass(frozen=True)
@@ -211,8 +109,12 @@ def c_statistic_trend(sample: SampleData, params: AdaptiveParams) -> CStatisticT
     """Evaluate the statistic on prefixes of length n/4, n/2, n (insertion order).
 
     Advisory only: the underlying claim is a limit with no finite-n cutoff,
-    so the label reports direction, never pass/fail.
+    so the label reports direction, never pass/fail. The prefixes need the
+    whole sample in insertion order, so a sample that holds only its top
+    raises _TailTooShort.
     """
+    if sample.floor > -math.inf:
+        raise _TailTooShort(f"prefixes need the whole sample, not its top above {sample.floor!r}")
     n = sample.n
     if n < 4:
         raise ValueError(f"need n >= 4 for a prefix trend, got {n}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._params import _check_n, _check_seed, _require_positive
 from .estimator import SampleData, _adopt, _TailTooShort
 
 __all__ = [
@@ -32,11 +33,6 @@ __all__ = [
     "parse_truncation",
 ]
 
-_MAX_SEED = 2**64
-
-# numpy's largest array length; a larger n could not be held or drawn
-_MAX_N = np.iinfo(np.intp).max
-
 # Largest exponential draw at rate 1: -log(1 - U) with U <= 1 - 2**-53.
 _MAX_UNIT_EXP_DRAW = 53 * math.log(2.0)
 
@@ -55,45 +51,11 @@ _BLOCK = 4096
 _RAW_CHUNK = 2**16
 
 
-def _require_positive(name: str, value: float) -> float:
-    """The rule for alpha, delta, scales and rates: positive and finite, numpy
-    reals included but not bools. Returns the value as a Python float, so no
-    later arithmetic runs in a narrower numpy type."""
-    if not ((_is_int(value) or isinstance(value, (float, np.floating))) and value > 0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
-
-
 def _store_positive(model, fields: dict[str, str]) -> None:
     """Apply the positive rule to each field {attribute: name in errors} of a
     frozen model, and store the value it returns."""
     for attr, name in fields.items():
         object.__setattr__(model, attr, _require_positive(name, getattr(model, attr)))
-
-
-def _reciprocal(name: str, value: float) -> float:
-    """1/value for a value that _require_positive passes, refused where it overflows."""
-    inverse = 1.0 / _require_positive(name, value)
-    if not math.isfinite(inverse):
-        raise ValueError(f"1/{name} overflows: {name} = {value!r}")
-    return inverse
-
-
-def _is_int(x) -> bool:
-    """A Python or numpy integer; bool is excluded though it subclasses int."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _check_n(n: int) -> None:
-    if not (_is_int(n) and 1 <= n <= _MAX_N):
-        raise ValueError(f"n must be an integer with n >= 1 and n <= {_MAX_N}, got {n!r}")
-
-
-def _check_seed(seed: int, name: str = "seed") -> None:
-    if not (_is_int(seed) and 0 <= seed < _MAX_SEED):
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:

@@ -8,6 +8,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._params import (
+    _LEVEL,
+    AdaptiveParams,
+    DegenerateSampleError,
+    InsufficientTailDataError,
+    _check_level,
+    _check_unit,
+)
 from .normal import normal_quantile
 
 __all__ = [
@@ -24,37 +32,6 @@ __all__ = [
     "estimate",
     "hill_curve",
 ]
-
-# default CI level of estimate, ExperimentSpec and the CLI
-_LEVEL = 0.95
-
-
-def _check_unit(name: str, value: float) -> float:
-    """The rule for beta, gamma and the CI level: strictly inside (0, 1).
-    Returns the value as a Python float, so no later arithmetic runs in a
-    narrower numpy type."""
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
-    return float(value)
-
-
-def _check_level(level: float) -> float:
-    """The CI level's rule: in (0, 1), with the quantile's argument
-    0.5 * (1 + level) below 1, which the largest double below 1 misses.
-    Returns the level as a Python float."""
-    level = _check_unit("level", level)
-    if not 0.5 * (1.0 + level) < 1.0:
-        raise ValueError(f"level must be at most 1 - 2**-52, got {level}")
-    return level
-
-
-class DegenerateSampleError(ValueError):
-    """The sample carries no usable tail information (zero maximum, zero
-    order statistic where a log is needed, or an all-equal top)."""
-
-
-class InsufficientTailDataError(ValueError):
-    """The adaptive count came out below 2, so there is no log-spacing set."""
 
 
 class _TailTooShort(Exception):
@@ -131,23 +108,6 @@ def _adopt(values: np.ndarray, n: int | None = None, floor: float = -math.inf) -
     sample = SampleData.__new__(SampleData)
     sample._hold(values, values.size if n is None else n, floor)
     return sample
-
-
-@dataclass(frozen=True)
-class AdaptiveParams:
-    """Count exponent beta and threshold fraction gamma, both strictly in (0, 1).
-
-    The defaults are a reasonable starting point for tail indices >= 1 with a
-    strongly negative second-order exponent; run the diagnostics before
-    trusting them on real data.
-    """
-
-    beta: float = 0.7
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_unit("beta", self.beta))
-        object.__setattr__(self, "gamma", _check_unit("gamma", self.gamma))
 
 
 @dataclass(frozen=True)

@@ -5,26 +5,27 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diagnostics import design_rates
-from .distributions import _check_n, _check_seed, _is_int, _reciprocal, _truncated, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
-from .estimator import (
+from ._params import (
+    _LEVEL,
     AdaptiveParams,
     DegenerateSampleError,
+    ExperimentError,
     InsufficientTailDataError,
-    SampleData,
-    _LEVEL,
-    _TailTooShort,
     _check_level,
-    estimate,
-    tilde_k,
-    u_count,
+    _check_n,
+    _check_seed,
+    _is_int,
+    _reciprocal,
+    _usable_cores,
 )
+from .diagnostics import design_rates
+from .distributions import _truncated, LightTailModel, TailModel, TruncatedSampleSpec, TruncationScheme, sample_truncated
+from .estimator import SampleData, _TailTooShort, estimate, tilde_k, u_count
 from .normal import ks_distance, normal_quantile
 
 __all__ = [
@@ -41,10 +42,6 @@ __all__ = [
     "aggregate_json",
     "qq_csv",
 ]
-
-
-class ExperimentError(RuntimeError):
-    """Every replication failed; no aggregate can be formed."""
 
 
 def replication_seed(base_seed: int, n: int, index: int) -> int:
@@ -200,14 +197,6 @@ def _aggregate(n: int, results: list[ReplicationResult]) -> NormalityReport:
         coverage=coverage,
         failures=len(results) - len(ok),
     )
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on: its affinity mask where the
-    platform has one, so that taskset and container masks count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run_experiment(spec: ExperimentSpec, max_workers: int = 1) -> ExperimentResult:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from trunctail import (AdaptiveParams, Burr, TruncationScheme, design_rates, replication_seed,
                        report_for_parameters)
-from trunctail import _reprtext, cli, montecarlo
+from trunctail import _reprtext, _samplefile, cli, montecarlo
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -174,7 +174,7 @@ def _long_sample_file(draw) -> bytes:
 
 
 def _read_file(path: str):
-    return cli._read_sample_file(path, cli._cut_lines(Path(path).read_bytes()))
+    return _samplefile._read_sample_file(path, _samplefile._cut_lines(Path(path).read_bytes()))
 
 
 def _read_outcome(read, path):
@@ -193,7 +193,7 @@ class TestSampleFileReader:
     def test_one_conversion_equals_line_loop(self, tmp_path, data):
         path = tmp_path / "sample.csv"
         path.write_bytes(data)
-        assert _read_outcome(_read_file, path) == _read_outcome(cli._read_sample_lines, path)
+        assert _read_outcome(_read_file, path) == _read_outcome(_samplefile._read_sample_lines, path)
 
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -201,21 +201,21 @@ class TestSampleFileReader:
     def test_cut_pieces_read_what_the_line_loop_reads(self, tmp_path, data, piece):
         path = tmp_path / "sample.csv"
         path.write_bytes(data)
-        with mock.patch.object(cli, "_READ_PIECE", piece), mock.patch.object(cli, "_usable_cores", lambda: 1):
-            pieces = cli._cut_lines(data)
+        with mock.patch.object(_samplefile, "_READ_PIECE", piece), mock.patch.object(_samplefile, "_usable_cores", lambda: 1):
+            pieces = _samplefile._cut_lines(data)
             assert data.endswith(b"".join(pieces))
             assert all(p.endswith(b"\n") for p in pieces[:-1])
-            assert _read_outcome(_read_file, path) == _read_outcome(cli._read_sample_lines, path)
+            assert _read_outcome(_read_file, path) == _read_outcome(_samplefile._read_sample_lines, path)
 
     def test_pieces_converted_on_the_pool_keep_their_order(self, tmp_path, monkeypatch):
         lines = [repr(v) for v in np.random.default_rng(3).pareto(1.0, 3000).tolist()]
         text = "x\r\n" + "\n".join(lines[:1000]) + "\r" + "\r\n".join(lines[1000:2000]) + "\n"
         path = tmp_path / "sample.csv"
         path.write_bytes((text + "\n".join(lines[2000:])).encode())
-        monkeypatch.setattr(cli, "_READ_PIECE", 4096)
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(cli, "_read_sample_lines", None)
-        assert len(cli._cut_lines(path.read_bytes())) > 10
+        monkeypatch.setattr(_samplefile, "_READ_PIECE", 4096)
+        monkeypatch.setattr(_samplefile, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_samplefile, "_read_sample_lines", None)
+        assert len(_samplefile._cut_lines(path.read_bytes())) > 10
         values = _read_file(str(path))
         assert multiprocessing.active_children() == []
         assert values.tobytes() == np.array([float(s) for s in lines]).tobytes()
@@ -223,7 +223,7 @@ class TestSampleFileReader:
     def test_clean_file_skips_line_loop(self, tmp_path, monkeypatch):
         path = tmp_path / "sample.csv"
         path.write_bytes(b" X\t\r\n8\r\n4.5 \n1e-3\n-0.0\n2_0\r0")
-        monkeypatch.setattr(cli, "_read_sample_lines", None)
+        monkeypatch.setattr(_samplefile, "_read_sample_lines", None)
         values = _read_file(str(path))
         assert values.dtype == np.float64
         assert values.tobytes() == np.array([8.0, 4.5, 1e-3, -0.0, 20.0, 0.0]).tobytes()
@@ -274,8 +274,8 @@ def _estimate_outcomes(path, flags, capsys) -> list:
     full path alone, from the top reader on every file it takes, and at the
     top reader's own share."""
     outcomes = []
-    for share in (0, 1, cli._TOP_SHARE):
-        with mock.patch.object(cli, "_TOP_SHARE", share):
+    for share in (0, 1, _samplefile._TOP_SHARE):
+        with mock.patch.object(_samplefile, "_TOP_SHARE", share):
             code = cli.main(["estimate", "--input", str(path), *flags])
         outcomes.append((code, *capsys.readouterr()))
     return outcomes
@@ -347,15 +347,15 @@ class TestSampleTops:
                  *[f"{1 + i % 9}.25" for i in range(500)], *["0.5"] * 3000, "1e-05"]
         path = tmp_path / "sample.csv"
         path.write_text("x\n" + "\n".join(lines) + "\n")
-        samples, original = [], cli._adopt
+        samples, original = [], _samplefile._adopt
 
         def adopt(values, n, floor):
             samples.append((sorted(values.tolist()), n, floor))
             return original(values, n, floor)
 
         full = _estimate_outcomes(path, [], capsys)[0]
-        monkeypatch.setattr(cli, "_read_sample_file", None)
-        with mock.patch.object(cli, "_adopt", adopt):
+        monkeypatch.setattr(_samplefile, "_read_sample_file", None)
+        with mock.patch.object(_samplefile, "_adopt", adopt):
             assert (cli.main(["estimate", "--input", str(path)]), *capsys.readouterr()) == full
         top = [1e-05, 260.25, 500.5]
         assert samples == [(top, len(lines), 100.0),
@@ -368,15 +368,15 @@ class TestSampleTops:
         lines = [repr(v) for v in np.random.default_rng(5).pareto(2.0, 5000).tolist()]
         path = tmp_path / "sample.csv"
         path.write_bytes(("x" + ending + ending.join(lines) + ending).encode())
-        monkeypatch.setattr(cli, "_SCAN_PIECE", 4096)
-        pieces, original = [], cli._scan_piece
+        monkeypatch.setattr(_samplefile, "_SCAN_PIECE", 4096)
+        pieces, original = [], _samplefile._scan_piece
 
         def scan_piece(*args):
             pieces.append(args[1:])
             return original(*args)
 
         full = _estimate_outcomes(path, flags, capsys)[0]
-        with mock.patch.object(cli, "_scan_piece", scan_piece):
+        with mock.patch.object(_samplefile, "_scan_piece", scan_piece):
             assert (cli.main(["estimate", "--input", str(path), *flags]), *capsys.readouterr()) == full
         assert len(pieces) == 1
         assert full[0] == 0
@@ -508,8 +508,8 @@ class TestSimulateCommand:
         values = sample_truncated(spec).values
         assert out.read_text() == "x\n" + "".join(repr(float(v)) + "\n" for v in values)
 
-    @pytest.mark.parametrize("n", [1, cli._WRITE_CHUNK - 1, cli._WRITE_CHUNK,
-                                   cli._WRITE_CHUNK + 1, 2 * cli._WRITE_CHUNK + 1])
+    @pytest.mark.parametrize("n", [1, _samplefile._WRITE_CHUNK - 1, _samplefile._WRITE_CHUNK,
+                                   _samplefile._WRITE_CHUNK + 1, 2 * _samplefile._WRITE_CHUNK + 1])
     def test_chunk_edges_match_per_value_repr(self, tmp_path, capsys, n):
         from trunctail import TruncatedSampleSpec, parse_light_model, sample_truncated
         from trunctail import parse_tail_model, parse_truncation
@@ -532,7 +532,7 @@ class TestSimulateCommand:
         from trunctail import TruncatedSampleSpec, parse_light_model, sample_truncated
         from trunctail import parse_tail_model, parse_truncation
 
-        n = 3 * cli._WRITE_CHUNK + 1
+        n = 3 * _samplefile._WRITE_CHUNK + 1
         pools = []
 
         class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
@@ -541,7 +541,7 @@ class TestSimulateCommand:
                 super().__init__(*a, **kw)
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(_samplefile, "_usable_cores", lambda: cores)
         # the second design's values are almost all below 1e-4, where the
         # formatter takes each line from repr
         for tail in ["pareto:alpha=1", "pareto:alpha=2,xmin=1e-6"]:
@@ -669,7 +669,7 @@ def _running_children(pid: int) -> list[str]:
 
 class TestChunkPool:
     # simulate on a pool of two workers, whatever the cores of the machine
-    POOLED = ("import sys; from trunctail import cli; cli._usable_cores = lambda: 2; "
+    POOLED = ("import sys; from trunctail import _samplefile, cli; _samplefile._usable_cores = lambda: 2; "
               "sys.exit(cli.main(sys.argv[1:]))")
 
     @pytest.mark.parametrize("name", ["SIGTERM", "SIGKILL", "SIGINT"])
@@ -715,16 +715,16 @@ class TestChunkPool:
 
     @pytest.mark.parametrize("func", ["repr_lines", "_parse_chunk"])
     def test_dead_worker_exits_two(self, tmp_path, monkeypatch, capsys, func):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_samplefile, "_usable_cores", lambda: 2)
         sample = tmp_path / "s.csv"
-        argv = [*TestSimulateCommand.ARGS[:-4], "--n", str(3 * cli._WRITE_CHUNK), "--output", str(sample)]
+        argv = [*TestSimulateCommand.ARGS[:-4], "--n", str(3 * _samplefile._WRITE_CHUNK), "--output", str(sample)]
         if func == "_parse_chunk":
             assert cli.main(argv) == 0
             # estimate reads a CRLF file on the pool, not from its top alone
             sample.write_bytes(sample.read_bytes().replace(b"\n", b"\r\n"))
-            monkeypatch.setattr(cli, "_READ_PIECE", 2**16)
+            monkeypatch.setattr(_samplefile, "_READ_PIECE", 2**16)
             argv = ["estimate", "--input", str(sample)]
-        monkeypatch.setattr(_reprtext if func == "repr_lines" else cli, func, _die)
+        monkeypatch.setattr(_reprtext if func == "repr_lines" else _samplefile, func, _die)
         assert cli.main(argv) == 2
         assert multiprocessing.active_children() == []
         err = capsys.readouterr().err
@@ -732,23 +732,23 @@ class TestChunkPool:
         assert err.count("\n") == 1
 
     def test_failing_sink_cancels_chunks_not_started(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_samplefile, "_usable_cores", lambda: 2)
 
         def sink(result):
             raise BrokenPipeError
 
         with pytest.raises(BrokenPipeError):
-            cli._map_chunks(_touch, [str(tmp_path / str(i)) for i in range(64)], sink)
+            _samplefile._map_chunks(_touch, [str(tmp_path / str(i)) for i in range(64)], sink)
         assert multiprocessing.active_children() == []
         # at most two chunks per worker are ever submitted ahead of the sink
         assert len(list(tmp_path.iterdir())) <= 4
 
     def test_maps_here_without_fork(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_samplefile, "_usable_cores", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", None)
         got = []
-        cli._map_chunks(_touch, [str(tmp_path / str(i)) for i in range(5)], got.append)
+        _samplefile._map_chunks(_touch, [str(tmp_path / str(i)) for i in range(5)], got.append)
         assert got == [str(tmp_path / str(i)) for i in range(5)]
 
 

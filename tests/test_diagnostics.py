@@ -1,10 +1,14 @@
+import inspect
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trunctail
 from trunctail import (
     AdaptiveParams,
     Burr,
@@ -25,6 +29,7 @@ from trunctail import (
     v_count,
 )
 from trunctail.diagnostics import BOUNDARY, FAILS, HOLDS
+from trunctail.estimator import _adopt, _TailTooShort
 
 
 class TestCheckAssumptions:
@@ -210,6 +215,67 @@ class TestCStatisticTrend:
     def test_tiny_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 4"):
             c_statistic_trend(SampleData([3, 2, 1]), AdaptiveParams())
+
+
+_TREND_PARAMS = AdaptiveParams(beta=0.8, gamma=0.5)
+
+# every public function that takes a SampleData first: the arguments after
+# the sample that each call passes
+_SAMPLE_CALLS = {
+    "adaptive_k": [(_TREND_PARAMS,)],
+    "c_statistic_trend": [(_TREND_PARAMS,)],
+    "estimate": [(_TREND_PARAMS,), (_TREND_PARAMS, 0.9, 2), (AdaptiveParams(), 0.95, 6)],
+    "hill_curve": [(1, 2), (2, 9)],
+    "hill_statistic": [(2,), (7,)],
+    "sample_c_statistic": [(_TREND_PARAMS,), (AdaptiveParams(beta=0.3, gamma=0.9),)],
+    "u_count": [(0.5, 1.0), (0.2, 40.0)],
+    "v_count": [(0.5,), (0.95,)],
+}
+
+
+def _outcome(name, sample, args):
+    """What the call returns, or the type and message of what it raises."""
+    try:
+        got = getattr(trunctail, name)(sample, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "returned", tuple(a.tolist() for a in got) if name == "hill_curve" else got
+
+
+class TestTopOnlyContract:
+    """Every public function that takes a SampleData answers on a sample
+    that holds only its top as on the whole sample, or raises _TailTooShort."""
+
+    def test_every_sample_function_has_calls(self):
+        takes = set()
+        for name in trunctail.__all__:
+            params = list(inspect.signature(obj).parameters.values()) if inspect.isfunction(
+                obj := getattr(trunctail, name)) else []
+            if params and params[0].annotation == "SampleData":
+                takes.add(name)
+        assert takes == set(_SAMPLE_CALLS)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(4, 300), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 0]),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
+    def test_top_answers_as_the_whole_or_raises(self, n, seed, decimals, ranks):
+        spec = TruncatedSampleSpec(Burr(tau=1, lam=2), Exponential(rate=1.0),
+                                   TruncationScheme(A=1.0, delta=0.45), n, seed)
+        values = sample_truncated(spec).values
+        if decimals is not None:  # ties, and zeros at decimals = 0
+            values = np.round(values, decimals)
+        whole = SampleData(values)
+        desc = np.sort(values)[::-1]
+        floors = [-1.0] + [float(desc[int(r * n)]) for r in ranks]
+        for floor in floors:
+            if not desc[0] > floor:
+                continue
+            top = _adopt(values[values > floor], n, floor)
+            for name, calls in _SAMPLE_CALLS.items():
+                for args in calls:
+                    got = _outcome(name, top, args)
+                    if got[0] is not _TailTooShort:
+                        assert got == _outcome(name, whole, args), (name, args, floor)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -293,12 +294,12 @@ class TestRunExperiment:
         assert pooled.reports == serial.reports
 
     def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert montecarlo._usable_cores() == 1
-        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_getaffinity")
         assert montecarlo._usable_cores() == 8
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert montecarlo._usable_cores() == 1
 
     def test_all_failed_raises(self):

@@ -1,15 +1,24 @@
 """The package namespace: each module's ``__all__`` resolves, the package
-exports exactly their union, no name of the frozen public API is lost, and
-every name the benchmark's tracer rebinds still exists."""
+exports exactly their union, no name of the frozen public API is lost,
+every name the benchmark's tracer rebinds still exists, and each command
+imports only the modules it runs."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import trunctail
 from trunctail import diagnostics, distributions, estimator, montecarlo, normal
 
 MODULES = (diagnostics, distributions, estimator, montecarlo, normal)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+DIAGNOSE = ["diagnose", "--alpha", "2", "--rho", "-0.5", "--beta", "0.8", "--delta", "0.45"]
 
 # every name the package exported before it re-exported the modules' __all__
 FROZEN_API = {
@@ -71,3 +80,51 @@ def test_benchmark_tracer_finds_every_name_it_rebinds(monkeypatch):
     assert montecarlo.estimate is estimator.estimate
     assert lookups
     assert [(owner, attr) for owner, attr, found in lookups if not found] == []
+
+
+def _imports(*args, cwd=None):
+    """The exit code, stdout and top-level names of the modules that a new
+    interpreter imports while running these arguments (-X importtime)."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), cwd=cwd, timeout=120)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, names
+
+
+@pytest.mark.parametrize("args, code", [
+    (["-c", "import trunctail"], 0),
+    (["-c", "import trunctail.cli"], 0),
+    (["-c", "from trunctail import cli"], 0),
+    (["-m", "trunctail", *DIAGNOSE], 0),
+    # the console script's way in
+    (["-c", "import sys; from trunctail.cli import entry; sys.argv[0] = 'trunctail'; entry()", *DIAGNOSE], 0),
+    (["-m", "trunctail"], 2),
+], ids=["import", "import-cli", "from-import-cli", "diagnose", "entry-diagnose", "no-arguments"])
+def test_start_imports_no_numpy(args, code):
+    got, _, names = _imports(*args)
+    assert got == code
+    assert "numpy" not in {name.split(".")[0] for name in names}
+
+
+def test_diagnose_output_is_the_library_report():
+    _, out, _ = _imports("-m", "trunctail", *DIAGNOSE)
+    want = diagnostics.report_for_parameters(2.0, -0.5, 0.8, 0.45).to_dict()
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
+def test_invalid_diagnose_exits_two_with_one_line():
+    proc = subprocess.run([sys.executable, "-m", "trunctail", "diagnose", "--alpha", "-1", "--beta", "0.8",
+                           "--delta", "0.45"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: alpha must be positive, got -1.0\n")
+
+
+def test_simulate_and_estimate_leave_the_harness_out(tmp_path):
+    sample = tmp_path / "s.csv"
+    code, _, names = _imports("-m", "trunctail", "simulate", "--tail", "burr:tau=1,lambda=2",
+                              "--light", "exp:rate=1", "--trunc", "A=1,delta=0.45", "--n", "2000",
+                              "--seed", "3", "--output", str(sample))
+    assert code == 0 and "trunctail.montecarlo" not in names and "numpy" in names
+    code, _, names = _imports("-m", "trunctail", "estimate", "--input", str(sample))
+    assert code == 0 and "trunctail.montecarlo" not in names and "numpy" in names
