@@ -28,9 +28,9 @@ def _export() -> None:
 def __getattr__(name: str):
     if name in _MODULES:
         return importlib.import_module(f".{name}", __name__)
-    # A private name, or a submodule not imported yet (the import system asks
-    # for it in `from trunctail import cli`), is missing without the imports
-    if name != "__all__" and (name.startswith("_") or importlib.util.find_spec(f"{__name__}.{name}")):
+    # a submodule not imported yet, which the import system asks for in
+    # `from trunctail import cli`, is missing without the imports
+    if importlib.util.find_spec(f"{__name__}.{name}"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _export()
     try:

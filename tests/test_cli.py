@@ -921,6 +921,22 @@ class TestUsage:
         assert run_cli("estimate", "--nope", "x").returncode == 2
 
 
+def test_commands_call_the_names_rebound_in_cli(tmp_path, monkeypatch):
+    # the benchmark's tracer rebinds these names in cli, and a command that
+    # binds its modules' names as it starts must keep them
+    calls = []
+    for name in ("sample_truncated", "SampleData", "estimate", "sample_c_statistic", "report_for_parameters"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, _name=name, **kw: calls.append(_name) or _f(*a, **kw))
+    sample = tmp_path / "s.csv"
+    assert cli.main([*TestSimulateCommand.ARGS, "--output", str(sample)]) == 0
+    # CRLF lines take the full reader, which builds a SampleData
+    sample.write_bytes(sample.read_bytes().replace(b"\n", b"\r\n"))
+    assert cli.main(["estimate", "--input", str(sample)]) == 0
+    assert cli.main(["diagnose", "--alpha", "2", "--beta", "0.8", "--delta", "0.45"]) == 0
+    assert calls == ["sample_truncated", "SampleData", "estimate", "sample_c_statistic", "report_for_parameters"]
+
+
 class TestHugeOrUndecodableInput:
     SIMULATE = ("simulate", "--tail", "pareto:alpha=2", "--light", "zero", "--trunc", "A=1,delta=0.5")
 

@@ -82,33 +82,43 @@ def test_benchmark_tracer_finds_every_name_it_rebinds(monkeypatch):
     assert [(owner, attr) for owner, attr, found in lookups if not found] == []
 
 
-def _imports(*args, cwd=None):
-    """The exit code, stdout and top-level names of the modules that a new
-    interpreter imports while running these arguments (-X importtime)."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=SRC), cwd=cwd, timeout=120)
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return proc.returncode, proc.stdout, names
+# runs `python -m trunctail` in a new interpreter that prints its modules
+# on exit (-X importtime misses a module that importlib.import_module loads)
+MAIN = "import runpy; runpy.run_module('trunctail', run_name='__main__', alter_sys=True)"
 
 
-@pytest.mark.parametrize("args, code", [
-    (["-c", "import trunctail"], 0),
-    (["-c", "import trunctail.cli"], 0),
-    (["-c", "from trunctail import cli"], 0),
-    (["-m", "trunctail", *DIAGNOSE], 0),
+def _modules(code, *args):
+    """The exit code, stdout and loaded modules of a new interpreter that
+    runs code with these arguments."""
+    report = "import atexit, sys; atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+    proc = subprocess.run([sys.executable, "-c", report + code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    return proc.returncode, proc.stdout, set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("code, args, exit_code", [
+    ("import trunctail", [], 0),
+    ("import trunctail.cli", [], 0),
+    ("from trunctail import cli", [], 0),
+    (MAIN, DIAGNOSE, 0),
     # the console script's way in
-    (["-c", "import sys; from trunctail.cli import entry; sys.argv[0] = 'trunctail'; entry()", *DIAGNOSE], 0),
-    (["-m", "trunctail"], 2),
+    ("from trunctail.cli import entry; entry()", DIAGNOSE, 0),
+    (MAIN, [], 2),
 ], ids=["import", "import-cli", "from-import-cli", "diagnose", "entry-diagnose", "no-arguments"])
-def test_start_imports_no_numpy(args, code):
-    got, _, names = _imports(*args)
-    assert got == code
-    assert "numpy" not in {name.split(".")[0] for name in names}
+def test_start_imports_no_numpy(code, args, exit_code):
+    got, _, modules = _modules(code, *args)
+    assert got == exit_code
+    assert "trunctail" in modules and "numpy" not in modules
+
+
+def test_modules_are_attributes_of_the_package():
+    # as when the package imported them itself
+    code, out, _ = _modules("import trunctail; print(trunctail.montecarlo.__name__)")
+    assert (code, out) == (0, "trunctail.montecarlo\n")
 
 
 def test_diagnose_output_is_the_library_report():
-    _, out, _ = _imports("-m", "trunctail", *DIAGNOSE)
+    _, out, _ = _modules(MAIN, *DIAGNOSE)
     want = diagnostics.report_for_parameters(2.0, -0.5, 0.8, 0.45).to_dict()
     assert out == json.dumps(want, indent=2) + "\n"
 
@@ -122,9 +132,8 @@ def test_invalid_diagnose_exits_two_with_one_line():
 
 def test_simulate_and_estimate_leave_the_harness_out(tmp_path):
     sample = tmp_path / "s.csv"
-    code, _, names = _imports("-m", "trunctail", "simulate", "--tail", "burr:tau=1,lambda=2",
-                              "--light", "exp:rate=1", "--trunc", "A=1,delta=0.45", "--n", "2000",
-                              "--seed", "3", "--output", str(sample))
-    assert code == 0 and "trunctail.montecarlo" not in names and "numpy" in names
-    code, _, names = _imports("-m", "trunctail", "estimate", "--input", str(sample))
-    assert code == 0 and "trunctail.montecarlo" not in names and "numpy" in names
+    code, _, modules = _modules(MAIN, "simulate", "--tail", "burr:tau=1,lambda=2", "--light", "exp:rate=1",
+                                "--trunc", "A=1,delta=0.45", "--n", "2000", "--seed", "3", "--output", str(sample))
+    assert code == 0 and "trunctail.distributions" in modules and "trunctail.montecarlo" not in modules
+    code, _, modules = _modules(MAIN, "estimate", "--input", str(sample))
+    assert code == 0 and "trunctail.estimator" in modules and "trunctail.montecarlo" not in modules
