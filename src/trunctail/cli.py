@@ -70,7 +70,8 @@ def _sample_tops(path: str, k: int | None):
     last, for estimate to try in turn until one holds what it reads: those
     of _samplefile._top_samples, then the whole sample from
     _samplefile._read_sample_file, which gives its values or its
-    line-numbered error."""
+    line-numbered error. It builds the whole sample through this module's
+    SampleData, a name that callers such as perfbench's tracer rebind."""
     from . import _samplefile
 
     try:

@@ -4,7 +4,6 @@ every name the benchmark's tracer rebinds still exists, and each command
 imports only the modules it runs."""
 
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -115,12 +114,6 @@ def test_modules_are_attributes_of_the_package():
     # as when the package imported them itself
     code, out, _ = _modules("import trunctail; print(trunctail.montecarlo.__name__)")
     assert (code, out) == (0, "trunctail.montecarlo\n")
-
-
-def test_diagnose_output_is_the_library_report():
-    _, out, _ = _modules(MAIN, *DIAGNOSE)
-    want = diagnostics.report_for_parameters(2.0, -0.5, 0.8, 0.45).to_dict()
-    assert out == json.dumps(want, indent=2) + "\n"
 
 
 def test_invalid_diagnose_exits_two_with_one_line():
