@@ -4,6 +4,7 @@ top order statistics, with normal-limit confidence intervals."""
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 
+# The fewest largest values a sample sorts at its first top() call.
+_MIN_SORTED = 1024
+
+
 class _TailTooShort(Exception):
     """A sample that holds only its top was asked about a level at or below
     its floor, so the answer needs values it does not hold."""
@@ -42,9 +47,15 @@ class _TailTooShort(Exception):
 class SampleData:
     """Nonnegative sample of size n with its maximum and on-demand order statistics.
 
-    ``values`` keeps insertion order and ``maximum`` is X_(1); ``top(k)[i]``
-    is the (i+1)-th largest value. Estimators need only the top k, so the
-    sample is fully sorted only if a caller asks for ``ordered``.
+    ``values`` keeps insertion order, read-only, and ``maximum`` is X_(1);
+    ``top(k)[i]`` is the (i+1)-th largest value. The sample keeps a working
+    copy of its values whose last ``_sorted`` entries are its ``_sorted``
+    largest, ascending: ``top(k)`` for k within them is a view of that
+    sorted tail, and a larger k partitions and sorts only the values below
+    it, so reading one sample at many k sorts each value at most once.
+    ``count_above`` answers from the sorted tail when the level is within
+    it. The sample is fully sorted only if a caller asks for ``ordered``.
+    Threads may share a sample: a lock serialises the extensions.
 
     ``values`` holds every value of the sample above ``floor``. A sample built
     from its values holds them all and has ``floor = -inf``; the replication
@@ -53,7 +64,7 @@ class SampleData:
     ``_TailTooShort`` instead of answering.
     """
 
-    __slots__ = ("values", "maximum", "n", "floor")
+    __slots__ = ("values", "maximum", "n", "floor", "_work", "_sorted", "_lock")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)
@@ -66,7 +77,12 @@ class SampleData:
         self._hold(arr, arr.size, -math.inf)
 
     def _hold(self, values: np.ndarray, n: int, floor: float) -> None:
+        # read-only, so no write can leave the sorted tail stale
+        values.flags.writeable = False
         self.values = values
+        self._work = None
+        self._sorted = 0
+        self._lock = threading.Lock()
         self.n = n
         self.floor = floor
         self.maximum = float(values.max()) if values.size else floor
@@ -77,6 +93,12 @@ class SampleData:
         """Strict count of values above level."""
         if level <= self.floor:
             raise _TailTooShort(f"level {level!r} is not above the floor {self.floor!r}")
+        cached = self._sorted
+        if cached:
+            tail = self._work[self._work.size - cached:]
+            if level >= tail[0]:
+                # no value below the sorted tail exceeds its smallest entry
+                return cached - int(np.searchsorted(tail, level, side="right"))
         return int(np.count_nonzero(self.values > level))
 
     def top(self, k: int) -> np.ndarray:
@@ -86,11 +108,32 @@ class SampleData:
         size = self.values.size
         if k > size:
             raise _TailTooShort(f"k = {k} exceeds the {size} values held")
-        top = np.sort(np.partition(self.values, size - k)[size - k:])[::-1]
+        if k > self._sorted:
+            with self._lock:
+                if k > self._sorted:
+                    self._sort_tail(k)
+        top = self._work[size - k:][::-1]
         if top[-1] <= self.floor:
             raise _TailTooShort(f"X_({k}) is not above the floor {self.floor!r}")
         top.flags.writeable = False
         return top
+
+    def _sort_tail(self, k: int) -> None:
+        """Extend the sorted tail to at least the k largest values; the caller
+        holds the lock. Returned views of the tail stay valid, since only
+        values below it move, and _sorted grows only once the new block is
+        sorted."""
+        if self._work is None:
+            self._work = self.values.copy()
+        size = self._work.size
+        # Each extension partitions every value below the tail, while sorting
+        # a few more costs little: grow to at least _MIN_SORTED and at least
+        # double the tail, so a scan over rising k partitions O(log n) times.
+        k = min(size, max(k, 2 * self._sorted, _MIN_SORTED))
+        rest = self._work[: size - self._sorted]
+        rest.partition(size - k)
+        rest[size - k:].sort()
+        self._sorted = k
 
     @property
     def ordered(self) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -63,6 +65,15 @@ class TestSampleData:
         s = SampleData(raw)
         raw[0] = 99.0
         assert s.values.tolist() == [3.0, 1.0]
+
+    def test_values_are_read_only(self):
+        # a write into values would leave the sorted tail stale
+        for s in (SampleData([3.0, 1.0]), _adopt(np.array([3.0, 1.0]), 4, 0.5)):
+            with pytest.raises(ValueError):
+                s.values[0] = 0.0
+            s.top(1)
+            with pytest.raises(ValueError):
+                s.values[1] = 5.0
 
 
 # Few distinct values give heavy ties; 0.0 exercises the zero order statistics.
@@ -187,6 +198,105 @@ class TestTopOnlySample:
             else:
                 with pytest.raises(_TailTooShort):
                     top.top(k)
+
+
+class _Unread:
+    """Stands in for a sample's values; a count that compares them fails."""
+
+    def __gt__(self, level):
+        raise AssertionError("count_above read the values")
+
+
+class TestSortedTail:
+    """top(k) and count_above share one sorted tail that grows across calls;
+    any interleaving answers as the straight-line references do."""
+
+    @given(tied_samples, st.data())
+    def test_interleaved_calls_match_references(self, values, data):
+        x = np.array(values, dtype=float)
+        n = x.size
+        floor = data.draw(st.sampled_from([-math.inf, *sorted(set(x.tolist()))]))
+        if floor == -math.inf:
+            held = x
+            sample = SampleData(values)
+        elif np.any(x > floor):
+            # every value above the floor, and any of those at or below it
+            extra = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) < 0.5
+            held = x[(x > floor) | extra]
+            sample = _adopt(held.copy(), n, floor)
+        else:
+            return
+        desc, held_desc = full_sort_desc(x), full_sort_desc(held)
+        # "tail" counts at the smallest sorted value, whatever the tail is then
+        calls = data.draw(st.lists(
+            st.tuples(st.just("top"), st.sampled_from([1, n]) | st.integers(1, n))
+            | st.tuples(st.just("count"), st.sampled_from([floor, *x.tolist()]))
+            | st.just(("count", "tail")),
+            max_size=12,
+        ))
+        returned = []
+        for call, arg in calls:
+            if arg == "tail":
+                arg = held_desc[max(sample._sorted, 1) - 1]
+            if call == "top" and desc[arg - 1] > floor:
+                got = sample.top(arg)
+                assert np.array_equal(got, desc[:arg])
+                returned.append((got, got.tobytes()))
+            elif call == "top":
+                with pytest.raises(_TailTooShort):
+                    sample.top(arg)
+            elif arg > floor:
+                want = int(np.count_nonzero(x > arg))
+                assert sample.count_above(arg) == want
+                if sample._sorted and arg >= held_desc[sample._sorted - 1]:
+                    # within the sorted tail, ties with its smallest entry
+                    # included, the count reads only the tail
+                    kept, sample.values = sample.values, _Unread()
+                    try:
+                        assert sample.count_above(arg) == want
+                    finally:
+                        sample.values = kept
+            else:
+                with pytest.raises(_TailTooShort):
+                    sample.count_above(arg)
+            # returned arrays are views of the tail: later calls keep them
+            assert all(got.tobytes() == raw for got, raw in returned)
+        assert sample.values.tobytes() == held.tobytes()
+
+    def test_threads_sharing_a_sample_get_the_references(self):
+        x = np.random.default_rng(11).pareto(1.5, 50_000).round(1)
+        desc = full_sort_desc(x)
+        ks = [3, 2_000, 12_000, 20, 30_000, 700, x.size]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # about half the rounds catch a tail published before it is sorted
+            for _ in range(20):
+                sample = SampleData(x)
+                start = threading.Barrier(6)
+                wrong = []
+
+                def scan(i):
+                    try:
+                        start.wait(timeout=30)
+                        for k in ks[i:] + ks[:i]:
+                            if not np.array_equal(sample.top(k), desc[:k]):
+                                wrong.append(("top", k))
+                            level = desc[k - 1]
+                            if sample.count_above(level) != np.count_nonzero(x > level):
+                                wrong.append(("count", k))
+                    except Exception as exc:  # reported below, not lost in the thread
+                        wrong.append(("raised", repr(exc)))
+
+                threads = [threading.Thread(target=scan, args=(i,)) for i in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert wrong == []
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestHillStatistic:
