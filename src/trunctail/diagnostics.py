@@ -111,7 +111,8 @@ def c_statistic_trend(sample: SampleData, params: AdaptiveParams) -> CStatisticT
     Advisory only: the underlying claim is a limit with no finite-n cutoff,
     so the label reports direction, never pass/fail. The prefixes need the
     whole sample in insertion order, so a sample that holds only its top
-    raises _TailTooShort.
+    raises _TailTooShort. The length-n prefix is the sample itself, so its
+    V_n comes from the sorted tail once an earlier call has sorted that far.
     """
     if sample.floor > -math.inf:
         raise _TailTooShort(f"prefixes need the whole sample, not its top above {sample.floor!r}")
@@ -119,8 +120,12 @@ def c_statistic_trend(sample: SampleData, params: AdaptiveParams) -> CStatisticT
     if n < 4:
         raise ValueError(f"need n >= 4 for a prefix trend, got {n}")
     sizes = sorted({n // 4, n // 2, n})
-    # prefixes of a checked sample need no copy and no second check
-    values = [sample_c_statistic(_adopt(sample.values[:m]), params) for m in sizes]
+    # shorter prefixes of a checked sample need no copy and no second check;
+    # the whole one is the sample, which counts V from its sorted tail
+    values = [
+        sample_c_statistic(sample if m == n else _adopt(sample.values[:m]), params)
+        for m in sizes
+    ]
     decreasing = all(later < earlier for earlier, later in zip(values, values[1:]))
     return CStatisticTrend(
         sizes=tuple(sizes),

@@ -51,11 +51,14 @@ class SampleData:
     ``top(k)[i]`` is the (i+1)-th largest value. The sample keeps a working
     copy of its values whose last ``_sorted`` entries are its ``_sorted``
     largest, ascending: ``top(k)`` for k within them is a view of that
-    sorted tail, and a larger k partitions and sorts only the values below
-    it, so reading one sample at many k sorts each value at most once.
-    ``count_above`` answers from the sorted tail when the level is within
-    it. The sample is fully sorted only if a caller asks for ``ordered``.
-    Threads may share a sample: a lock serialises the extensions.
+    sorted tail, and a larger k sorts only the values below it, so reading
+    one sample at many k sorts each value at most once. The first extension
+    also splits off the top eighth of the values (``_split``, at least k),
+    and an extension within the split partitions only that eighth, so a scan
+    over k up to n/8 partitions all n values once. ``count_above`` answers
+    from the sorted tail when the level is within it. The sample is fully
+    sorted only if a caller asks for ``ordered``. Threads may share a
+    sample: a lock serialises the extensions.
 
     ``values`` holds every value of the sample above ``floor``. A sample built
     from its values holds them all and has ``floor = -inf``; the replication
@@ -64,29 +67,33 @@ class SampleData:
     ``_TailTooShort`` instead of answering.
     """
 
-    __slots__ = ("values", "maximum", "n", "floor", "_work", "_sorted", "_lock")
+    __slots__ = ("values", "maximum", "n", "floor", "_work", "_sorted", "_split", "_lock")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a nonempty one-dimensional array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sample values must be finite")
-        if arr.min() < 0:
+        # min and max propagate NaN, so both bounds hold only for finite,
+        # nonnegative values; a refused sample pays for picking the message
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (lo >= 0.0 and hi < math.inf):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("sample values must be finite")
             raise ValueError("sample values must be nonnegative")
-        self._hold(arr, arr.size, -math.inf)
+        self._hold(arr, arr.size, -math.inf, hi)
 
-    def _hold(self, values: np.ndarray, n: int, floor: float) -> None:
+    def _hold(self, values: np.ndarray, n: int, floor: float, maximum: float) -> None:
         # read-only, so no write can leave the sorted tail stale
         values.flags.writeable = False
         self.values = values
         self._work = None
         self._sorted = 0
+        self._split = 0
         self._lock = threading.Lock()
         self.n = n
         self.floor = floor
-        self.maximum = float(values.max()) if values.size else floor
-        if not self.maximum > floor:
+        self.maximum = maximum
+        if not maximum > floor:
             raise _TailTooShort(f"no value above the floor {floor!r}")
 
     def count_above(self, level: float) -> int:
@@ -126,13 +133,19 @@ class SampleData:
         if self._work is None:
             self._work = self.values.copy()
         size = self._work.size
-        # Each extension partitions every value below the tail, while sorting
-        # a few more costs little: grow to at least _MIN_SORTED and at least
-        # double the tail, so a scan over rising k partitions O(log n) times.
+        # Sorting a few more values costs little next to a partition: grow to
+        # at least _MIN_SORTED and at least double the tail.
         k = min(size, max(k, 2 * self._sorted, _MIN_SORTED))
         rest = self._work[: size - self._sorted]
-        rest.partition(size - k)
-        rest[size - k:].sort()
+        if k > self._split:
+            # the last _split values of _work are its _split largest: only
+            # this partition reads every value below the tail
+            self._split = max(k, size // 8)
+            rest.partition(size - self._split)
+        block = rest[size - self._split:]
+        if k < self._split:
+            block.partition(self._split - k)
+        block[self._split - k:].sort()
         self._sorted = k
 
     @property
@@ -149,7 +162,8 @@ def _adopt(values: np.ndarray, n: int | None = None, floor: float = -math.inf) -
     finite and nonnegative by construction and hold every value of the size-n
     sample above ``floor``."""
     sample = SampleData.__new__(SampleData)
-    sample._hold(values, values.size if n is None else n, floor)
+    maximum = float(values.max()) if values.size else floor
+    sample._hold(values, values.size if n is None else n, floor, maximum)
     return sample
 
 
@@ -186,7 +200,8 @@ def hill_statistic(sample: SampleData, k: int) -> float:
     if xk <= 0.0:
         raise DegenerateSampleError(f"X_({k}) = 0; log ratios are undefined")
     with np.errstate(over="ignore"):
-        h = float(np.log(top / xk).mean())
+        ratios = top / xk
+        h = float(np.log(ratios, out=ratios).mean())
     if not math.isfinite(h):
         raise DegenerateSampleError(f"X_(1)/X_({k}) = {float(top[0])!r}/{float(xk)!r} overflows")
     return h
@@ -280,5 +295,5 @@ def hill_curve(sample: SampleData, k_min: int, k_max: int) -> tuple[np.ndarray, 
     logs = np.log(top)
     prefix = np.cumsum(logs)
     ks = np.arange(k_min, k_max + 1)
-    hs = prefix[ks - 1] / ks - logs[ks - 1]
+    hs = prefix[k_min - 1:] / ks - logs[k_min - 1:]
     return ks, hs

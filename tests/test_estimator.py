@@ -22,18 +22,20 @@ from trunctail import (
     TruncationScheme,
     Zero,
     adaptive_k,
+    c_statistic_trend,
     delta_feasible_range,
     estimate,
     hill_curve,
     hill_statistic,
     report_for_parameters,
+    sample_c_statistic,
     sample_tail,
     sample_truncated,
     tilde_k,
     u_count,
     v_count,
 )
-from trunctail.estimator import _adopt, _TailTooShort
+from trunctail.estimator import _MIN_SORTED, _adopt, _TailTooShort
 
 LOG2 = math.log(2.0)
 
@@ -59,6 +61,40 @@ class TestSampleData:
             SampleData([1, math.inf])
         with pytest.raises(ValueError, match="finite"):
             SampleData([1, math.nan])
+
+    @pytest.mark.parametrize("values, message", [
+        ([math.nan], "finite"),
+        ([1.0, math.nan, 2.0], "finite"),
+        # min and max of these are NaN too; the finite message still wins
+        ([-1.0, math.nan], "finite"),
+        ([math.nan, -3.0, 2.0], "finite"),
+        ([1.0, math.inf], "finite"),
+        ([-math.inf, 1.0], "finite"),
+        ([-2.0, math.inf], "finite"),
+        ([3.0, -1e-300], "nonnegative"),
+        ([-5.0], "nonnegative"),
+    ])
+    def test_refused_with_the_first_rule_broken(self, values, message):
+        with pytest.raises(ValueError, match=f"sample values must be {message}$"):
+            SampleData(values)
+        with pytest.raises(ValueError, match=f"sample values must be {message}$"):
+            SampleData(np.array(values * 3000))
+
+    def test_negative_zero_accepted(self):
+        s = SampleData([-0.0, 2.0, 0.0])
+        assert s.maximum == 2.0
+        assert s.ordered.tolist() == [2.0, 0.0, 0.0]
+        assert SampleData([-0.0]).maximum == 0.0
+
+    def test_maximum_is_the_largest_value(self):
+        rng = np.random.default_rng(3)
+        for x in ([0.0], [-0.0, 0.0], [5.0, 5.0, 1.0], rng.pareto(1.5, 5000)):
+            x = np.array(x, dtype=float)
+            assert SampleData(x).maximum == x.max()
+            assert _adopt(x.copy()).maximum == x.max()
+            assert _adopt(x.copy(), x.size + 7, -1.0).maximum == x.max()
+            assert type(SampleData(x).maximum) is float
+            assert type(_adopt(x.copy()).maximum) is float
 
     def test_owns_its_data(self):
         raw = np.array([3.0, 1.0])
@@ -201,10 +237,20 @@ class TestTopOnlySample:
 
 
 class _Unread:
-    """Stands in for a sample's values; a count that compares them fails."""
+    """Stands in for a sample's values; a count that compares them fails.
+    Slices of ``held`` shorter than all of it read through."""
+
+    def __init__(self, held=None):
+        self.held = held
 
     def __gt__(self, level):
         raise AssertionError("count_above read the values")
+
+    def __getitem__(self, key):
+        part = self.held[key]
+        if part.size == self.held.size:
+            raise AssertionError("read every value")
+        return part
 
 
 class TestSortedTail:
@@ -263,6 +309,71 @@ class TestSortedTail:
             assert all(got.tobytes() == raw for got, raw in returned)
         assert sample.values.tobytes() == held.tobytes()
 
+    @staticmethod
+    def _split_sample():
+        """n = 3 * 8 * _MIN_SORTED values in shuffled order, with few distinct
+        values and one run of ties across rank n/8."""
+        n = 24 * _MIN_SORTED
+        desc = np.sort(np.random.default_rng(23).integers(0, 5000, n) / 4.0)[::-1]
+        desc[n // 8 - 40 : n // 8 + 40] = desc[n // 8]
+        return np.random.default_rng(24).permutation(desc), np.ascontiguousarray(desc)
+
+    @pytest.mark.parametrize("ks", [
+        # the first extension splits off the top n/8; later ones stay within
+        # it, land on it, or pass it and split again
+        [1, 100, 2_000, 3_071, 3_072, 3_073, 6_000, 24_576],
+        [3_073, 3_072, 3_000, 1_000, 3_080, 20_000, 3_071, 24_576],
+        [3_072, 5, 3_072, 12_000, 3_100, 7_000, 2],
+        [2_900, 1_500, 3_500, 3_000, 24_000],
+        [24_576, 3_072, 1],
+    ])
+    def test_split_off_top_eighth_matches_references(self, ks):
+        x, desc = self._split_sample()
+        n = x.size
+        sample = SampleData(x)
+        levels = [desc[j] for j in (0, 99, 1_023, n // 8 - 41, n // 8, n // 8 + 40, 2 * n // 3)]
+        returned = []
+        for k in ks:
+            got = sample.top(k)
+            assert got.tobytes() == desc[:k].tobytes()
+            assert sample._split >= n // 8
+            returned.append((got, got.tobytes()))
+            for level in levels + [desc[k - 1], desc[sample._sorted - 1]]:
+                assert sample.count_above(level) == np.count_nonzero(x > level)
+            assert all(got.tobytes() == raw for got, raw in returned)
+        assert sample.ordered.tobytes() == desc.tobytes()
+        assert sample.values.tobytes() == x.tobytes()
+
+    def test_split_blocks_over_many_shuffles(self):
+        # distinct values, so no tie hides a value that a block's partition
+        # left out of the sorted tail; numpy's partition seldom does so by
+        # chance, hence the many shuffles
+        n = 32 * _MIN_SORTED
+        desc = np.arange(n, 0, -1) / 4.0
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            sample = SampleData(rng.permutation(desc))
+            for k in (1, 2_100, 1_100, 4_100):
+                assert sample.top(k).tobytes() == desc[:k].tobytes()
+
+    def test_trend_equals_fresh_prefixes_and_reads_no_values(self):
+        x, _ = self._split_sample()
+        params = AdaptiveParams()
+        sizes = (x.size // 4, x.size // 2, x.size)
+        want = [sample_c_statistic(_adopt(x[:m].copy()), params) for m in sizes]
+        fresh = c_statistic_trend(SampleData(x), params)
+        assert fresh.sizes == sizes
+        assert [v.hex() for v in fresh.values] == [v.hex() for v in want]
+        sample = SampleData(x)
+        sample.top(v_count(sample, params.gamma) + 1)
+        # the tail now covers V_n, so the length-n prefix reads no values
+        kept, sample.values = sample.values, _Unread(sample.values)
+        try:
+            trend = c_statistic_trend(sample, params)
+        finally:
+            sample.values = kept
+        assert [v.hex() for v in trend.values] == [v.hex() for v in want]
+
     def test_threads_sharing_a_sample_get_the_references(self):
         x = np.random.default_rng(11).pareto(1.5, 50_000).round(1)
         desc = full_sort_desc(x)
@@ -314,6 +425,32 @@ class TestHillStatistic:
 
     def test_all_equal_gives_zero(self):
         assert hill_statistic(SampleData([5, 5, 5]), 3) == 0.0
+
+    def test_bits_of_the_mean_log_ratio(self):
+        # the log is taken in place in the ratio buffer; the bits are those
+        # of a fresh log array's mean
+        rng = np.random.default_rng(17)
+        for x, ks in [
+            (rng.pareto(1.5, 30_000), (2, 3, 100, 1_024, 1_025, 3_750, 20_000, 30_000)),
+            (np.round(rng.pareto(0.7, 5_000), 1) + 0.1, (2, 17, 999, 5_000)),
+            (np.array([1e300, 1e-300, 2e-300, 1.0]), (2, 3, 4)),
+        ]:
+            s = SampleData(x)
+            for k in ks:
+                top = s.top(k)
+                with np.errstate(over="ignore"):
+                    want = float(np.log(top / top[-1]).mean())
+                if math.isfinite(want):
+                    assert hill_statistic(s, k).hex() == want.hex()
+                else:
+                    with pytest.raises(DegenerateSampleError, match="overflows"):
+                        hill_statistic(s, k)
+        # 1e300/1e-300 overflows: the same refusal as a fresh log array gives
+        s = SampleData([1e300, 1e-300])
+        with np.errstate(over="ignore"):
+            assert float(np.log(s.top(2) / 1e-300).mean()) == math.inf
+        with pytest.raises(DegenerateSampleError, match="overflows"):
+            hill_statistic(s, 2)
 
     def test_k_range_checked(self):
         s = SampleData([3, 2, 1])
@@ -478,6 +615,18 @@ class TestHillCurve:
             curve = dict(zip(*hill_curve(s, 1, 300)))
             for k in (1, 7, 100, 300):
                 assert curve[k] == pytest.approx(hill_statistic(s, k), abs=1e-12)
+
+    def test_bits_of_the_gathered_expression(self):
+        x = np.random.default_rng(19).pareto(1.2, 20_000)
+        s = SampleData(x)
+        for k_max in (1, 50, 4_096, 20_000):
+            logs = np.log(s.top(k_max))
+            prefix = np.cumsum(logs)
+            for k_min in sorted({1, min(2, k_max), min(3, k_max), k_max // 2 + 1, k_max}):
+                ks = np.arange(k_min, k_max + 1)
+                got_ks, hs = hill_curve(s, k_min, k_max)
+                assert got_ks.tobytes() == ks.tobytes()
+                assert hs.tobytes() == (prefix[ks - 1] / ks - logs[ks - 1]).tobytes()
 
     def test_consistent_at_adaptive_count(self):
         s = SampleData(sample_tail(Pareto(alpha=1), 2000, seed=8))
