@@ -70,9 +70,18 @@ class SampleData:
     __slots__ = ("values", "maximum", "n", "floor", "_work", "_sorted", "_split", "_lock")
 
     def __init__(self, values):
-        arr = np.array(values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
+        given = np.asarray(values, dtype=float)
+        if given.ndim != 1 or given.size == 0:
             raise ValueError("sample must be a nonempty one-dimensional array")
+        n = given.size
+        # One block holds the values and, from the first extension on, their
+        # working copy. glibc returns the top of its heap to the OS once more
+        # than twice the largest block it has unmapped is free there: freeing
+        # the two halves as separate blocks crossed that line, so each sample
+        # built after a scanned one faulted all its pages in again.
+        block = np.empty(2 * n)
+        arr = block[:n]
+        arr[...] = given
         # min and max propagate NaN, so both bounds hold only for finite,
         # nonnegative values; a refused sample pays for picking the message
         lo, hi = float(arr.min()), float(arr.max())
@@ -80,7 +89,8 @@ class SampleData:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("sample values must be finite")
             raise ValueError("sample values must be nonnegative")
-        self._hold(arr, arr.size, -math.inf, hi)
+        self._hold(arr, n, -math.inf, hi)
+        self._work = block[n:]
 
     def _hold(self, values: np.ndarray, n: int, floor: float, maximum: float) -> None:
         # read-only, so no write can leave the sorted tail stale
@@ -132,6 +142,8 @@ class SampleData:
         sorted."""
         if self._work is None:
             self._work = self.values.copy()
+        elif not self._split:
+            self._work[...] = self.values
         size = self._work.size
         # Sorting a few more values costs little next to a partition: grow to
         # at least _MIN_SORTED and at least double the tail.
