@@ -49,16 +49,17 @@ class SampleData:
 
     ``values`` keeps insertion order, read-only, and ``maximum`` is X_(1);
     ``top(k)[i]`` is the (i+1)-th largest value. The sample keeps a working
-    copy of its values whose last ``_sorted`` entries are its ``_sorted``
-    largest, ascending: ``top(k)`` for k within them is a view of that
-    sorted tail, and a larger k sorts only the values below it, so reading
-    one sample at many k sorts each value at most once. The first extension
-    also splits off the top eighth of the values (``_split``, at least k),
-    and an extension within the split partitions only that eighth, so a scan
-    over k up to n/8 partitions all n values once. ``count_above`` answers
-    from the sorted tail when the level is within it. The sample is fully
-    sorted only if a caller asks for ``ordered``. Threads may share a
-    sample: a lock serialises the extensions.
+    copy of its values, in one block with them when it is built from them,
+    whose last ``_sorted`` entries are its ``_sorted`` largest, ascending:
+    ``top(k)`` for k within them is a view of that sorted tail, and a larger
+    k sorts only the values below it, so reading one sample at many k sorts
+    each value at most once. The first extension also splits off the top
+    eighth of the values (``_split``, at least k), and an extension within
+    the split partitions only that eighth, so a scan over k up to n/8
+    partitions all n values once. ``count_above`` answers from the sorted
+    tail when the level is within it. The sample is fully sorted only if a
+    caller asks for ``ordered``. Threads may share a sample: a lock
+    serialises the extensions.
 
     ``values`` holds every value of the sample above ``floor``. A sample built
     from its values holds them all and has ``floor = -inf``; the replication
@@ -79,8 +80,8 @@ class SampleData:
         # than twice the largest block it has unmapped is free there: freeing
         # the two halves as separate blocks crossed that line, so each sample
         # built after a scanned one faulted all its pages in again.
-        block = np.empty(2 * n)
-        arr = block[:n]
+        buf = np.empty(2 * n)
+        arr = buf[:n]
         arr[...] = given
         # min and max propagate NaN, so both bounds hold only for finite,
         # nonnegative values; a refused sample pays for picking the message
@@ -90,7 +91,7 @@ class SampleData:
                 raise ValueError("sample values must be finite")
             raise ValueError("sample values must be nonnegative")
         self._hold(arr, n, -math.inf, hi)
-        self._work = block[n:]
+        self._work = buf[n:]
 
     def _hold(self, values: np.ndarray, n: int, floor: float, maximum: float) -> None:
         # read-only, so no write can leave the sorted tail stale
