@@ -27,36 +27,53 @@ _READ_PIECE = 2**21
 # costs it about 2.5 times what it costs _read_sample_file's bulk conversion
 # on two cores, so near a third of n the full reader would be faster
 _TOP_SHARE = 1 / 8
-# Bytes per piece of _scan_lines: the first alone refuses a file in another
-# format, and smaller pieces than _READ_PIECE's keep the scan in cache
+# Bytes per piece of _top_samples' scan: the first alone refuses a file in
+# another format, and smaller pieces than _READ_PIECE's keep the scan in cache
 _SCAN_PIECE = 2**18
 
 
 def _top_samples(data: bytes, k: int | None):
     """Samples of the file's top, parsed exactly, for a forced k or None.
 
-    A plain line is digits with one point, as repr writes the values in
-    [1e-4, 1e16). Its class is its count d of integer digits, so its value
-    is below 10**d, except that '0.' and digits is class 0, as is a line
-    starting with the point: below 1 = 10**0. Classes stop at 310, where
-    every line is inf. Every other line is special. A sample holds the
-    special lines and the plain lines of the classes down to c, each from
-    float() on its own bytes, as the line loop reads it. It floors at 10**b,
-    b the highest class below c (-inf when there is none): a plain line it
-    does not hold has at most b integer digits, so its decimal value is
-    below 10**b, and rounding is monotone, so its double is at most
-    float(10**b). Every value above the floor is held, the invariant of
-    _adopt, so a count or an order statistic reaching the floor raises
-    _TailTooShort and none answers wrongly.
+    One scan gives the start, end and class of every line after the header,
+    piece by piece (_line_ranges with _SCAN_PIECE). A plain line is digits
+    with one point, as repr writes the values in [1e-4, 1e16). Its class is
+    its count d of integer digits, so its value is below 10**d, except that
+    '0.' and digits is class 0, as is a line starting with the point: below
+    1 = 10**0. Classes stop at 310, where every line is inf. Every other line
+    is special and takes the top class. A sample holds the special lines and
+    the plain lines of the classes down to c, each from float() on its own
+    bytes, as the line loop reads it. It floors at 10**b, b the highest class
+    below c (-inf when there is none): a plain line it does not hold has at
+    most b integer digits, so its decimal value is below 10**b, and rounding
+    is monotone, so its double is at most float(10**b). Every value above the
+    floor is held, the invariant of _adopt, so a count or an order statistic
+    reaching the floor raises _TailTooShort and none answers wrongly.
 
     Special lines are parsed first, with the top class, so the whole file is
     known to be valid before the first sample. The samples stop, leaving the
-    file to the full reader, when _scan_lines refuses it, when a special
-    line is not a finite nonnegative number (a blank line is not), or when
-    the lines to hold would pass _TOP_SHARE of n."""
-    pieces = _scan_lines(data, k)
-    if pieces is None:
+    file to the full reader, for a file with no data lines or whose last line
+    has no line feed; when the special lines of a piece pass _TOP_SHARE of
+    its lines, as in a file written in another format; when a forced k passes
+    _TOP_SHARE of the lines that the first piece's line length gives the
+    file; when a special line is not a finite nonnegative number (a blank
+    line is not); or when the lines to hold would pass _TOP_SHARE of n."""
+    if data[-1:] != b"\n":
         return
+    buf = np.frombuffer(data, np.uint8)
+    pieces = []
+    for start, end in _line_ranges(data, _SCAN_PIECE):
+        pieces.append(_scan_piece(buf, start, end))
+        lines = pieces[-1][2].size
+        if np.count_nonzero(pieces[-1][2] < 0) > _TOP_SHARE * lines:
+            return
+        if len(pieces) == 1 and k is not None and k > _TOP_SHARE * lines * (len(data) - start) / (end - start):
+            return
+    if not pieces:
+        return
+    top = max(max(int(classes.max()) for _, _, classes in pieces), 0)
+    for _, _, classes in pieces:
+        classes[classes < 0] = top
     n = sum(classes.size for _, _, classes in pieces)
     counts = sum(np.bincount(classes, minlength=311) for _, _, classes in pieces)
     down = np.flatnonzero(counts)[::-1].tolist()
@@ -81,33 +98,6 @@ def _top_samples(data: bytes, k: int | None):
         except _TailTooShort:  # what it holds rounds to the floor
             continue
         yield sample
-
-
-def _scan_lines(data: bytes, k: int | None):
-    """For each piece of the bytes after the header, the start, end and
-    class of its lines, special lines taking the top class. None for a file
-    with no data lines or whose last line has no line feed, when the special
-    lines of a piece pass _TOP_SHARE of its lines, as in a file written in
-    another format, or when a forced k passes _TOP_SHARE of the lines that
-    the first piece's line length gives the file."""
-    start = _header_end(data)
-    if start == len(data) or data[-1:] != b"\n":
-        return None
-    buf = np.frombuffer(data, np.uint8)
-    pieces = []
-    while start < len(data):
-        end = data.find(b"\n", start + _SCAN_PIECE) + 1 or len(data)
-        pieces.append(_scan_piece(buf, start, end))
-        lines = pieces[-1][2].size
-        if np.count_nonzero(pieces[-1][2] < 0) > _TOP_SHARE * lines:
-            return None
-        if len(pieces) == 1 and k is not None and k > _TOP_SHARE * lines * (len(data) - start) / (end - start):
-            return None
-        start = end
-    top = max(max(int(classes.max()) for _, _, classes in pieces), 0)
-    for _, _, classes in pieces:
-        classes[classes < 0] = top
-    return pieces
 
 
 def _scan_piece(buf: np.ndarray, start: int, end: int):
@@ -159,19 +149,24 @@ def _read_sample_file(path: str, pieces: list[bytes]) -> np.ndarray:
 
 
 def _cut_lines(data: bytes) -> list[bytes]:
-    """The bytes after the header (_header_end), cut just after a line feed
-    every _READ_PIECE bytes or so. A line feed always ends a line, so the
-    pieces' lines are the file's lines. A file with a NUL byte gives no
-    pieces, since numpy's fixed-width strings drop trailing NULs."""
+    """The bytes after the header in the pieces of _line_ranges with
+    _READ_PIECE. A file with a NUL byte gives no pieces, since numpy's
+    fixed-width strings drop trailing NULs."""
     if b"\0" in data:
         return []
+    return [data[start:end] for start, end in _line_ranges(data, _READ_PIECE)]
+
+
+def _line_ranges(data: bytes, piece: int):
+    """(start, end) of each piece of the bytes after the header (_header_end),
+    cut just after the first line feed at least piece bytes into it, or at
+    the end of the bytes. A line feed always ends a line, so the pieces'
+    lines are the file's lines."""
     start = _header_end(data)
-    pieces = []
     while start < len(data):
-        end = data.find(b"\n", start + _READ_PIECE) + 1 or len(data)
-        pieces.append(data[start:end])
+        end = data.find(b"\n", start + piece) + 1 or len(data)
+        yield start, end
         start = end
-    return pieces
 
 
 def _header_end(data: bytes) -> int:

@@ -100,16 +100,13 @@ def _env_seed() -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     _bind("estimator", "diagnostics")
-    samples = _sample_tops(args.input, args.k)
-    sample = next(samples)
-    params = AdaptiveParams(beta=args.beta, gamma=args.gamma)
-    while True:
-        try:
+    for sample in _sample_tops(args.input, args.k):
+        # checked once the file is read, so that its errors come first
+        params = AdaptiveParams(beta=args.beta, gamma=args.gamma)
+        with contextlib.suppress(_TailTooShort):
             est = estimate(sample, params, level=args.level, k=args.k)
             c_statistic = sample_c_statistic(sample, params)
             break
-        except _TailTooShort:
-            sample = next(samples)
     doc = est.to_dict()
     doc["c_statistic"] = c_statistic
     print(json.dumps(doc, indent=2))
