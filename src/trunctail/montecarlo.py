@@ -56,6 +56,11 @@ def replication_seed(base_seed: int, n: int, index: int) -> int:
 # again if its first tail is too short; no thread count shortens that, so an n
 # above 2**44 words, some 47 hours a walk, is refused up front.
 _MAX_WALK = 2**44
+# A study keeps a record of each replication, about 465 bytes (tracemalloc
+# peak of run_experiment at n = 100 and 20,000 replications, on one thread),
+# so more than 2**23 replications over all of n_list, about 3.9 GB, are
+# refused up front rather than built until memory runs out.
+_MAX_TASKS = 2**23
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,10 @@ class ExperimentSpec:
             raise ValueError(f"n_list must not repeat sizes, got {self.n_list}")
         if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+        if self.replications * len(self.n_list) > _MAX_TASKS:
+            raise ValueError(f"replications must be at most {_MAX_TASKS // len(self.n_list)} for "
+                             f"{len(self.n_list)} size(s) in n_list: at most 2**23 = {_MAX_TASKS} "
+                             f"replication records in all (about 3.9 GB)")
         _check_seed(self.base_seed, "base_seed")
         object.__setattr__(self, "level", _check_level(self.level))
         _reciprocal("tail.alpha", self.tail.alpha)  # z is centred at 1/alpha

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trunctail import (AdaptiveParams, Burr, TruncationScheme, design_rates, replication_seed,
@@ -61,6 +61,11 @@ class TestEstimateCommand:
         proc = run_cli("estimate", "--input", str(tmp_path / "nope.csv"))
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    def test_read_error_comes_before_a_bad_beta(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        assert cli.main(["estimate", "--input", str(path), "--beta", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     def test_bad_beta_names_the_parameter(self, data_file):
         proc = run_cli("estimate", "--input", str(data_file), "--beta", "1.5")
@@ -206,6 +211,22 @@ class TestSampleFileReader:
             assert data.endswith(b"".join(pieces))
             assert all(p.endswith(b"\n") for p in pieces[:-1])
             assert _read_outcome(_read_file, path) == _read_outcome(_samplefile._read_sample_lines, path)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=_sample_file(), size=st.sampled_from(["_SCAN_PIECE", "_READ_PIECE"]), pieces=st.integers(0, 3))
+    @example(data=b"x\n1.5\n2.5", size="_SCAN_PIECE", pieces=2)
+    @example(data=b"1.5\r2.5\r", size="_READ_PIECE", pieces=2)
+    @example(data=b"1.5\n", size="_READ_PIECE", pieces=0)
+    def test_line_ranges_tile_the_lines_after_the_header(self, data, size, pieces):
+        # repeated to span about `pieces` pieces of the real size
+        size = getattr(_samplefile, size)
+        data *= 1 + pieces * size // max(len(data), 1)
+        ranges = list(_samplefile._line_ranges(data, size))
+        cuts = [_samplefile._header_end(data)] + [e for _, e in ranges]
+        assert ranges == list(zip(cuts, cuts[1:])) and cuts[-1] == len(data)
+        assert all(s < e for s, e in ranges)
+        for s, e in ranges[:-1]:
+            assert e - s > size and data[e - 1:e] == b"\n" and b"\n" not in data[s + size:e - 1]
 
     def test_pieces_converted_on_the_pool_keep_their_order(self, tmp_path, monkeypatch):
         lines = [repr(v) for v in np.random.default_rng(3).pareto(1.0, 3000).tolist()]
@@ -966,6 +987,15 @@ class TestHugeOrUndecodableInput:
         assert proc.stdout == ""
         assert str(spec) in proc.stderr
         assert f"n = {n} in n_list" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_experiment_too_many_replications_exits_two(self, tmp_path):
+        # a record per replication: 10**12 of them would fill any memory
+        spec = TestExperimentCommand().write_spec(tmp_path, replications=10**12)
+        proc = run_cli("experiment", "--spec", str(spec), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "replications" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag", ["--input", "--spec"])

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from trunctail import (
     sample_truncated,
 )
 from trunctail.distributions import _BLOCK
-from trunctail.montecarlo import _replicate, aggregate_json, qq_csv, replications_csv
+from trunctail.montecarlo import _MAX_TASKS, _replicate, aggregate_json, qq_csv, replications_csv
 from trunctail.normal import ks_distance
 
 VALID = dict(
@@ -385,6 +386,21 @@ class TestRunExperiment:
         make_spec(n_list=(2**44,), replications=1000)
         with pytest.raises(ValueError, match=rf"n = {2**44 + 1} in n_list: .* {2**44 + 1} raw"):
             make_spec(n_list=(5, 2**44 + 1), replications=1)
+
+
+    def test_replication_bound(self):
+        # a record per replication: at most _MAX_TASKS over all of n_list,
+        # refused before anything is built
+        make_spec(n_list=(100,), replications=_MAX_TASKS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"replications must be at most {_MAX_TASKS} for 1 "):
+                make_spec(n_list=(100,), replications=_MAX_TASKS + 1)
+            with pytest.raises(ValueError, match=rf"replications must be at most {_MAX_TASKS // 2} for 2 "):
+                make_spec(n_list=(100, 200), replications=_MAX_TASKS // 2 + 1)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestSerialization:
