@@ -60,7 +60,7 @@ _MAX_WALK = 2**44
 # peak of run_experiment at n = 100 and 20,000 replications, on one thread),
 # so more than 2**23 replications over all of n_list, about 3.9 GB, are
 # refused up front rather than built until memory runs out.
-_MAX_TASKS = 2**23
+_MAX_REPLICATIONS = 2**23
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ class ExperimentSpec:
             raise ValueError(f"n_list must not repeat sizes, got {self.n_list}")
         if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
-        if self.replications * len(self.n_list) > _MAX_TASKS:
-            raise ValueError(f"replications must be at most {_MAX_TASKS // len(self.n_list)} for "
-                             f"{len(self.n_list)} size(s) in n_list: at most 2**23 = {_MAX_TASKS} "
+        if self.replications * len(self.n_list) > _MAX_REPLICATIONS:
+            raise ValueError(f"replications must be at most {_MAX_REPLICATIONS // len(self.n_list)} for "
+                             f"{len(self.n_list)} size(s) in n_list: at most 2**23 = {_MAX_REPLICATIONS} "
                              f"replication records in all (about 3.9 GB)")
         _check_seed(self.base_seed, "base_seed")
         object.__setattr__(self, "level", _check_level(self.level))

@@ -30,7 +30,7 @@ from trunctail import (
     sample_truncated,
 )
 from trunctail.distributions import _BLOCK
-from trunctail.montecarlo import _MAX_TASKS, _replicate, aggregate_json, qq_csv, replications_csv
+from trunctail.montecarlo import _MAX_REPLICATIONS, _replicate, aggregate_json, qq_csv, replications_csv
 from trunctail.normal import ks_distance
 
 VALID = dict(
@@ -387,17 +387,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=rf"n = {2**44 + 1} in n_list: .* {2**44 + 1} raw"):
             make_spec(n_list=(5, 2**44 + 1), replications=1)
 
-
     def test_replication_bound(self):
-        # a record per replication: at most _MAX_TASKS over all of n_list,
+        # a record per replication: at most _MAX_REPLICATIONS over all of n_list,
         # refused before anything is built
-        make_spec(n_list=(100,), replications=_MAX_TASKS)
+        make_spec(n_list=(100,), replications=_MAX_REPLICATIONS)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=rf"replications must be at most {_MAX_TASKS} for 1 "):
-                make_spec(n_list=(100,), replications=_MAX_TASKS + 1)
-            with pytest.raises(ValueError, match=rf"replications must be at most {_MAX_TASKS // 2} for 2 "):
-                make_spec(n_list=(100, 200), replications=_MAX_TASKS // 2 + 1)
+            with pytest.raises(ValueError, match=rf"replications must be at most {_MAX_REPLICATIONS} for 1 "):
+                make_spec(n_list=(100,), replications=_MAX_REPLICATIONS + 1)
+            with pytest.raises(ValueError, match=rf"replications must be at most {_MAX_REPLICATIONS // 2} for 2 "):
+                make_spec(n_list=(100, 200), replications=_MAX_REPLICATIONS // 2 + 1)
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
