@@ -32,6 +32,25 @@ _TOP_SHARE = 1 / 8
 _SCAN_PIECE = 2**18
 
 
+def _sample_tops(path: str, k: int | None, whole):
+    """Samples of estimate's file, each holding more of its top than the
+    last, for estimate to try in turn until one holds what it reads: those
+    of _top_samples, then whole(values) of the values that _read_sample_file
+    reads, or its line-numbered error."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        data = b""
+    yield from _top_samples(data, k)
+    # as the full reader alone does, free the bytes once cut and the pieces
+    # once read, before whole copies the values
+    pieces = _cut_lines(data)
+    del data
+    values = _read_sample_file(path, pieces)
+    del pieces
+    yield whole(values)
+
+
 def _top_samples(data: bytes, k: int | None):
     """Samples of the file's top, parsed exactly, for a forced k or None.
 

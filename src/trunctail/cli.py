@@ -24,36 +24,28 @@ from ._params import (
     report_for_parameters,
 )
 
-# The names that the numpy commands call, by module. A command binds its
-# modules' names into this module's globals (_bind) before it runs, so that
-# `trunctail diagnose`, which needs none, imports no numpy. A name already
-# bound, by an earlier command or by a caller that rebinds it, is kept.
-_NUMPY_NAMES = {
+# The names that the numpy commands call, by module. Each is bound here to a
+# stub that imports its module when first called, so that `trunctail
+# diagnose`, which calls none, imports no numpy, and a caller such as
+# perfbench's tracer can rebind any of them.
+_STUBS = {
     "diagnostics": ("sample_c_statistic",),
     "distributions": ("TruncatedSampleSpec", "parse_light_model", "parse_tail_model",
                       "parse_truncation", "sample_truncated"),
-    "estimator": ("SampleData", "_TailTooShort", "estimate"),
+    "estimator": ("SampleData", "estimate"),
     "montecarlo": ("ExperimentSpec", "aggregate_json", "qq_csv", "replications_csv",
                    "run_experiment"),
 }
 
 
-def _bind(*modules: str) -> None:
-    for module in modules:
-        found = vars(importlib.import_module(f".{module}", __package__))
-        for name in _NUMPY_NAMES[module]:
-            globals().setdefault(name, found[name])
+def _stub(module: str, name: str):
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    return call
 
 
-def __getattr__(name: str):
-    """A numpy command's name, bound on first access (PEP 562). Every other
-    name is missing as usual, so that a probe such as the import system's
-    hasattr(cli, "__path__") imports nothing."""
-    for module, names in _NUMPY_NAMES.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+globals().update((name, _stub(module, name)) for module, names in _STUBS.items() for name in names)
 
 
 SEED_ENV_VAR = "TRUNCTAIL_SEED"
@@ -63,29 +55,6 @@ EXIT_USAGE = 2
 EXIT_INSUFFICIENT_TAIL = 3
 EXIT_EXPERIMENT_FAILED = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command Ctrl-C ended
-
-
-def _sample_tops(path: str, k: int | None):
-    """Samples of estimate's file, each holding more of its top than the
-    last, for estimate to try in turn until one holds what it reads: those
-    of _samplefile._top_samples, then the whole sample from
-    _samplefile._read_sample_file, which gives its values or its
-    line-numbered error. It builds the whole sample through this module's
-    SampleData, a name that callers such as perfbench's tracer rebind."""
-    from . import _samplefile
-
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        data = b""
-    yield from _samplefile._top_samples(data, k)
-    # as the full reader alone does, free the bytes once cut and the pieces
-    # once read, before SampleData copies the values
-    pieces = _samplefile._cut_lines(data)
-    del data
-    values = _samplefile._read_sample_file(path, pieces)
-    del pieces
-    yield SampleData(values)
 
 
 def _env_seed() -> int:
@@ -99,8 +68,11 @@ def _env_seed() -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    _bind("estimator", "diagnostics")
-    for sample in _sample_tops(args.input, args.k):
+    from ._samplefile import _sample_tops
+    from .estimator import _TailTooShort
+
+    # a whole sample is built through this module's SampleData, which callers rebind
+    for sample in _sample_tops(args.input, args.k, SampleData):
         # checked once the file is read, so that its errors come first
         params = AdaptiveParams(beta=args.beta, gamma=args.gamma)
         with contextlib.suppress(_TailTooShort):
@@ -122,7 +94,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import _samplefile
 
-    _bind("distributions")
     tail = parse_tail_model(args.tail)
     light = parse_light_model(args.light)
     trunc = parse_truncation(args.trunc)
@@ -229,7 +200,6 @@ def _load_experiment_spec(path: str) -> ExperimentSpec:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    _bind("distributions", "montecarlo")
     spec = _load_experiment_spec(args.spec)
     result = run_experiment(spec, max_workers=args.threads)
     agg = aggregate_json(result.reports)

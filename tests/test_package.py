@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import trunctail
-from trunctail import diagnostics, distributions, estimator, montecarlo, normal
+from trunctail import cli, diagnostics, distributions, estimator, montecarlo, normal
 
 MODULES = (diagnostics, distributions, estimator, montecarlo, normal)
 
@@ -108,6 +108,21 @@ def test_start_imports_no_numpy(code, args, exit_code):
     got, _, modules = _modules(code, *args)
     assert got == exit_code
     assert "trunctail" in modules and "numpy" not in modules
+
+
+def test_looking_up_the_stubs_imports_no_numpy():
+    # the tracer looks up every name before it rebinds it; only a call imports
+    code, out, modules = _modules("import trunctail.cli as cli\n"
+                                  "print(sum(callable(getattr(cli, n)) for ns in cli._STUBS.values() for n in ns))")
+    assert (code, out) == (0, "13\n")
+    assert "numpy" not in modules
+
+
+def test_every_stub_names_an_attribute_of_its_module():
+    # a misspelt name would fail only the command that calls it, and only then
+    for module, names in cli._STUBS.items():
+        found = vars(importlib.import_module(f"trunctail.{module}"))
+        assert [name for name in names if name not in found] == [], module
 
 
 def test_modules_are_attributes_of_the_package():
