@@ -21,14 +21,13 @@ from .estimator import _adopt, _TailTooShort
 
 # Values per chunk of `simulate`'s text: about 1.3 MB
 _WRITE_CHUNK = 2**16
-# Bytes per piece of `estimate`'s file: about 100,000 lines
-_READ_PIECE = 2**21
 # Most lines, as a share of n, that _top_samples parses one at a time. A line
 # costs it about 2.5 times what it costs _read_sample_file's bulk conversion
 # on two cores, so near a third of n the full reader would be faster
 _TOP_SHARE = 1 / 8
-# Bytes per piece of _top_samples' scan: the first alone refuses a file in
-# another format, and smaller pieces than _READ_PIECE's keep the scan in cache
+# Bytes per piece of `estimate`'s file, about 13,000 lines, for both readers:
+# the top reader's first piece alone refuses a file in another format, and
+# pieces this small keep its scan in cache
 _SCAN_PIECE = 2**18
 
 
@@ -169,11 +168,11 @@ def _read_sample_file(path: str, pieces: list[bytes]) -> np.ndarray:
 
 def _cut_lines(data: bytes) -> list[bytes]:
     """The bytes after the header in the pieces of _line_ranges with
-    _READ_PIECE. A file with a NUL byte gives no pieces, since numpy's
+    _SCAN_PIECE. A file with a NUL byte gives no pieces, since numpy's
     fixed-width strings drop trailing NULs."""
     if b"\0" in data:
         return []
-    return [data[start:end] for start, end in _line_ranges(data, _READ_PIECE)]
+    return [data[start:end] for start, end in _line_ranges(data, _SCAN_PIECE)]
 
 
 def _line_ranges(data: bytes, piece: int):

@@ -206,20 +206,20 @@ class TestSampleFileReader:
     def test_cut_pieces_read_what_the_line_loop_reads(self, tmp_path, data, piece):
         path = tmp_path / "sample.csv"
         path.write_bytes(data)
-        with mock.patch.object(_samplefile, "_READ_PIECE", piece), mock.patch.object(_samplefile, "_usable_cores", lambda: 1):
+        with mock.patch.object(_samplefile, "_SCAN_PIECE", piece), mock.patch.object(_samplefile, "_usable_cores", lambda: 1):
             pieces = _samplefile._cut_lines(data)
             assert data.endswith(b"".join(pieces))
             assert all(p.endswith(b"\n") for p in pieces[:-1])
             assert _read_outcome(_read_file, path) == _read_outcome(_samplefile._read_sample_lines, path)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(data=_sample_file(), size=st.sampled_from(["_SCAN_PIECE", "_READ_PIECE"]), pieces=st.integers(0, 3))
-    @example(data=b"x\n1.5\n2.5", size="_SCAN_PIECE", pieces=2)
-    @example(data=b"1.5\r2.5\r", size="_READ_PIECE", pieces=2)
-    @example(data=b"1.5\n", size="_READ_PIECE", pieces=0)
-    def test_line_ranges_tile_the_lines_after_the_header(self, data, size, pieces):
+    @given(data=_sample_file(), pieces=st.integers(0, 3))
+    @example(data=b"x\n1.5\n2.5", pieces=2)
+    @example(data=b"1.5\r2.5\r", pieces=2)
+    @example(data=b"1.5\n", pieces=0)
+    def test_line_ranges_tile_the_lines_after_the_header(self, data, pieces):
         # repeated to span about `pieces` pieces of the real size
-        size = getattr(_samplefile, size)
+        size = _samplefile._SCAN_PIECE
         data *= 1 + pieces * size // max(len(data), 1)
         ranges = list(_samplefile._line_ranges(data, size))
         cuts = [_samplefile._header_end(data)] + [e for _, e in ranges]
@@ -233,7 +233,7 @@ class TestSampleFileReader:
         text = "x\r\n" + "\n".join(lines[:1000]) + "\r" + "\r\n".join(lines[1000:2000]) + "\n"
         path = tmp_path / "sample.csv"
         path.write_bytes((text + "\n".join(lines[2000:])).encode())
-        monkeypatch.setattr(_samplefile, "_READ_PIECE", 4096)
+        monkeypatch.setattr(_samplefile, "_SCAN_PIECE", 4096)
         monkeypatch.setattr(_samplefile, "_usable_cores", lambda: 2)
         monkeypatch.setattr(_samplefile, "_read_sample_lines", None)
         assert len(_samplefile._cut_lines(path.read_bytes())) > 10
@@ -743,7 +743,7 @@ class TestChunkPool:
             assert cli.main(argv) == 0
             # estimate reads a CRLF file on the pool, not from its top alone
             sample.write_bytes(sample.read_bytes().replace(b"\n", b"\r\n"))
-            monkeypatch.setattr(_samplefile, "_READ_PIECE", 2**16)
+            monkeypatch.setattr(_samplefile, "_SCAN_PIECE", 2**16)
             argv = ["estimate", "--input", str(sample)]
         monkeypatch.setattr(_reprtext if func == "repr_lines" else _samplefile, func, _die)
         assert cli.main(argv) == 2
