@@ -10,6 +10,7 @@ conditions that report_for_parameters classifies.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -57,33 +58,46 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, *_numpy_scalars("integer"))) and not isinstance(x, bool)
 
 
+def _shown(value, form=repr) -> str:
+    """form(value), or for an int with more digits than str() converts
+    (sys.get_int_max_str_digits) its digit count, worded as the command line
+    words a spec integer that it refuses."""
+    try:
+        return form(value)
+    except ValueError:
+        from decimal import Decimal  # converts an int of any length
+
+        return f"integer of {Decimal(value).adjusted() + 1} digits"
+
+
 def _require_positive(name: str, value: float) -> float:
     """The rule for alpha, delta, scales and rates: positive and finite, numpy
     reals included but not bools. Returns the value as a Python float, so no
     later arithmetic runs in a narrower numpy type."""
     if not ((_is_int(value) or isinstance(value, (float, *_numpy_scalars("floating")))) and value > 0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+        raise ValueError(f"{name} must be positive, got {_shown(value)}")
+    with contextlib.suppress(OverflowError):  # an int past the largest double
+        if math.isfinite(value):
+            return float(value)
+    raise ValueError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 def _reciprocal(name: str, value: float) -> float:
     """1/value for a value that _require_positive passes, refused where it overflows."""
     inverse = 1.0 / _require_positive(name, value)
     if not math.isfinite(inverse):
-        raise ValueError(f"1/{name} overflows: {name} = {value!r}")
+        raise ValueError(f"1/{name} overflows: {name} = {_shown(value)}")
     return inverse
 
 
 def _check_n(n: int) -> None:
     if not (_is_int(n) and 1 <= n <= _MAX_N):
-        raise ValueError(f"n must be an integer with n >= 1 and n <= {_MAX_N}, got {n!r}")
+        raise ValueError(f"n must be an integer with n >= 1 and n <= {_MAX_N}, got {_shown(n)}")
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
     if not (_is_int(seed) and 0 <= seed < _MAX_SEED):
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {_shown(seed)}")
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -91,7 +105,7 @@ def _check_unit(name: str, value: float) -> float:
     Returns the value as a Python float, so no later arithmetic runs in a
     narrower numpy type."""
     if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
+        raise ValueError(f"{name} must be in (0, 1), got {_shown(value, str)}")
     return float(value)
 
 
@@ -168,7 +182,7 @@ def beta_feasible_range(alpha: float, rho: float | None) -> tuple[float, float] 
     lo = max(1.0 - 1.0 / alpha, 0.0)
     if rho is not None:
         if not rho < 0.0:
-            raise ValueError(f"rho must be negative, got {rho}")
+            raise ValueError(f"rho must be negative, got {_shown(rho, str)}")
         lo = max(lo, 1.0 / (1.0 - rho))
     return (lo, 1.0) if lo < 1.0 else None
 

@@ -16,6 +16,7 @@ from ._params import (
     InsufficientTailDataError,
     _check_level,
     _check_unit,
+    _shown,
 )
 from .normal import normal_quantile
 
@@ -122,7 +123,7 @@ class SampleData:
     def top(self, k: int) -> np.ndarray:
         """The k largest values in descending order, as a read-only array."""
         if not 1 <= k <= self.n:
-            raise ValueError(f"k must be in [1, {self.n}], got {k}")
+            raise ValueError(f"k must be in [1, {self.n}], got {_shown(k, str)}")
         size = self.values.size
         if k > size:
             raise _TailTooShort(f"k = {k} exceeds the {size} values held")
@@ -243,9 +244,9 @@ def adaptive_k(sample: SampleData, params: AdaptiveParams) -> int:
 def tilde_k(n: int, u: int, beta: float) -> int:
     """Integer part of n**(1-beta) * u**beta: k-hat from V_n, k-tilde from U_n."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {_shown(n, str)}")
     if not 0 <= u <= n:
-        raise ValueError(f"u must be in [0, {n}], got {u}")
+        raise ValueError(f"u must be in [0, {_shown(n, str)}], got {_shown(u, str)}")
     beta = _check_unit("beta", beta)
     # computed as n * (u/n)**beta so u == n lands exactly on n
     return int(math.floor(n * (u / n) ** beta))
@@ -275,7 +276,7 @@ def estimate(
                 "the observed tail is too thin for these (beta, gamma)"
             )
     elif not 2 <= k <= sample.n:
-        raise ValueError(f"forced k must be in [2, {sample.n}], got {k}")
+        raise ValueError(f"forced k must be in [2, {sample.n}], got {_shown(k, str)}")
     h = hill_statistic(sample, k)
     if h <= 0.0:
         raise DegenerateSampleError(
@@ -301,7 +302,7 @@ def hill_curve(sample: SampleData, k_min: int, k_max: int) -> tuple[np.ndarray, 
     from one prefix-sum pass, O(k_max)."""
     n = sample.n
     if not 1 <= k_min <= k_max <= n:
-        raise ValueError(f"need 1 <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]")
+        raise ValueError(f"need 1 <= k_min <= k_max <= {n}, got [{_shown(k_min, str)}, {_shown(k_max, str)}]")
     top = sample.top(k_max)
     if top[-1] <= 0.0:
         raise DegenerateSampleError(f"X_({k_max}) = 0; log ratios are undefined")

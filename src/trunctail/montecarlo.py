@@ -21,6 +21,7 @@ from ._params import (
     _check_seed,
     _is_int,
     _reciprocal,
+    _shown,
     _usable_cores,
 )
 from .diagnostics import design_rates
@@ -91,7 +92,7 @@ class ExperimentSpec:
         if len(set(self.n_list)) != len(self.n_list):
             raise ValueError(f"n_list must not repeat sizes, got {self.n_list}")
         if not (_is_int(self.replications) and self.replications >= 1):
-            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+            raise ValueError(f"replications must be an integer >= 1, got {_shown(self.replications)}")
         if self.replications * len(self.n_list) > _MAX_REPLICATIONS:
             raise ValueError(f"replications must be at most {_MAX_REPLICATIONS // len(self.n_list)} for "
                              f"{len(self.n_list)} size(s) in n_list: at most 2**23 = {_MAX_REPLICATIONS} "

@@ -4,14 +4,16 @@ Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 2-6 pin their
 seeds; the pinned runs are deterministic, so every asserted number is stable
 across machines, reruns and thread counts.
 
-Two designs are used. The paper's limit needs the rate quantity
+Two designs are run. The paper's limit needs the rate quantity
 R(n) = n * P(H > M_n)**(2 - beta) * (log M_n)**2 to vanish; ``design_rates``
 gives it in closed form. ``STUDY`` is the replication-study design of the
 README: criteria 4, 5, 8 and 9 run on it. Its R is of order 10 and rising at
 desk-scale n, so a finite-n normal limit is not promised there. ``LIMIT`` is a
 design where R is already small and falling at desk scale: criterion 3 checks
 the normal limit on it, and criterion 6 checks that the diagnostic statistic
-falls on ``LIMIT`` and rises on ``STUDY``, as R does.
+falls on ``LIMIT`` and rises on ``STUDY``, as R does. ``ROUGH``, ``SHALLOW``
+and ``SMOOTH`` are not run: a test checks that the assumption checker flags
+the one condition that each of the first two breaks, and none in the others.
 """
 
 import json
@@ -83,6 +85,25 @@ LIMIT = dict(
     truncation=TruncationScheme(A=1.0, delta=0.9),
     params=AdaptiveParams(beta=0.2, gamma=0.5),
 )
+# three designs that each break at most one condition of the limit theorem,
+# all with light exp:rate=1, A = 1 and gamma = 0.5. ROUGH: Burr with
+# alpha = 1 and rho = -0.5, whose beta = 0.5 is below 1/(1 - rho) = 2/3, so
+# the rho condition alone fails. SHALLOW: exact Pareto(1) with
+# alpha*delta*(2 - beta) = 0.675 <= 1, so the threshold grows too slowly for
+# the vanishing condition alone. SMOOTH: ROUGH at beta = 0.8, which holds all
+ROUGH = dict(
+    tail=Burr(tau=0.5, lam=2),
+    light=Exponential(rate=1.0),
+    truncation=TruncationScheme(A=1.0, delta=0.9),
+    params=AdaptiveParams(beta=0.5, gamma=0.5),
+)
+SHALLOW = dict(
+    tail=Pareto(alpha=1),
+    light=Exponential(rate=1.0),
+    truncation=TruncationScheme(A=1.0, delta=0.45),
+    params=AdaptiveParams(beta=0.5, gamma=0.5),
+)
+SMOOTH = dict(ROUGH, params=AdaptiveParams(beta=0.8, gamma=0.5))
 CLT_BASE_SEED = 11
 CLT_N = 100000
 CLT_REPLICATIONS = 500
@@ -363,6 +384,22 @@ class TestCriterion7CheckerAlgebra:
                     assert rep.c_holds == expect_c, (alpha, beta, delta)
                     cells += 1
         _verdict("criterion 7 (assumption-checker algebra)", True, f"{cells} cells")
+
+
+def failed_conditions(design: dict) -> set:
+    """The conditions of the limit theorem that check_assumptions does not
+    pass for the design: b_holds, c_holds and the rho condition."""
+    rep = check_assumptions(design["tail"], design["truncation"], design["params"].beta)
+    return ({name for name in ("b_holds", "c_holds") if getattr(rep, name) != HOLDS}
+            | ({"rho_condition"} if rep.rho_condition is False else set()))
+
+
+class TestEachBrokenConditionFlaggedAlone:
+    def test_checker_flags_exactly_the_broken_condition(self):
+        got = {name: failed_conditions(design) for name, design in
+               [("ROUGH", ROUGH), ("SHALLOW", SHALLOW), ("SMOOTH", SMOOTH), ("STUDY", STUDY), ("LIMIT", LIMIT)]}
+        want = {"ROUGH": {"rho_condition"}, "SHALLOW": {"c_holds"}, "SMOOTH": set(), "STUDY": set(), "LIMIT": set()}
+        _verdict("each broken condition flagged alone", got == want, str(got))
 
 
 class TestCriterion8SecondOrderOracle:

@@ -9,6 +9,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trunctail import (
+    AdaptiveParams,
+    ExperimentSpec,
+    Exponential,
+    Pareto,
+    SampleData,
+    TruncatedSampleSpec,
+    TruncationScheme,
+    beta_feasible_range,
+    estimate,
+    hill_curve,
+    tilde_k,
+)
 from trunctail._params import _MAX_N, _check_n, _check_seed, _is_int, _require_positive
 
 
@@ -39,3 +52,36 @@ def test_integer_rules_refuse_look_alikes(value):
 def test_positive_rule_refuses_look_alikes(value):
     with pytest.raises(ValueError, match=f"^alpha must be positive, got {re.escape(repr(value))}$"):
         _require_positive("alpha", value)
+
+
+# more digits than str() converts by default (4,300), so a message that
+# formatted it as it is would raise the interpreter's conversion limit
+HUGE = -10**5000
+DESIGN = dict(tail=Pareto(alpha=1), light=Exponential(rate=1.0), truncation=TruncationScheme(A=1.0, delta=0.45))
+SAMPLE = SampleData(np.arange(1.0, 11.0))
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("n", lambda: _check_n(HUGE), id="check_n"),
+    pytest.param("seed", lambda: _check_seed(HUGE), id="check_seed"),
+    pytest.param("u", lambda: tilde_k(10, HUGE, 0.5), id="tilde_k-u"),
+    pytest.param("n", lambda: tilde_k(HUGE, 1, 0.5), id="tilde_k-n"),
+    pytest.param("n", lambda: ExperimentSpec(params=AdaptiveParams(), n_list=[HUGE], replications=2, base_seed=0,
+                                             **DESIGN), id="ExperimentSpec-n_list"),
+    pytest.param("replications", lambda: ExperimentSpec(params=AdaptiveParams(), n_list=[100], replications=HUGE,
+                                                        base_seed=0, **DESIGN), id="ExperimentSpec-replications"),
+    pytest.param("seed", lambda: TruncatedSampleSpec(*DESIGN.values(), n=100, seed=HUGE), id="TruncatedSampleSpec"),
+    pytest.param("alpha", lambda: Pareto(alpha=HUGE), id="Pareto"),
+    pytest.param("alpha", lambda: Pareto(alpha=-HUGE), id="Pareto-positive"),
+    pytest.param("beta", lambda: AdaptiveParams(beta=HUGE), id="AdaptiveParams"),
+    pytest.param("rho", lambda: beta_feasible_range(2.0, -HUGE), id="beta_feasible_range"),
+    pytest.param("k", lambda: estimate(SAMPLE, k=HUGE), id="estimate"),
+    pytest.param("k", lambda: SAMPLE.top(HUGE), id="top"),
+    pytest.param("k_min", lambda: hill_curve(SAMPLE, HUGE, 5), id="hill_curve"),
+])
+def test_huge_integer_is_refused_by_name_and_digit_count(name, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+    assert "integer of 5001 digits" in str(info.value)
+    assert "Exceeds the limit" not in str(info.value)
