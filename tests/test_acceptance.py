@@ -91,6 +91,7 @@ LIMIT = dict(
 # the rho condition alone fails. SHALLOW: exact Pareto(1) with
 # alpha*delta*(2 - beta) = 0.675 <= 1, so the threshold grows too slowly for
 # the vanishing condition alone. SMOOTH: ROUGH at beta = 0.8, which holds all
+# three
 ROUGH = dict(
     tail=Burr(tau=0.5, lam=2),
     light=Exponential(rate=1.0),
