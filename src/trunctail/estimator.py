@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 
-# The fewest largest values a sample sorts at its first top() call.
-_MIN_SORTED = 1024
-
-
 class _TailTooShort(Exception):
     """A sample that holds only its top was asked about a level at or below
     its floor, so the answer needs values it does not hold."""
@@ -53,10 +49,9 @@ class SampleData:
     copy of its values, in one block with them when it is built from them,
     whose last ``_sorted`` entries are its ``_sorted`` largest, ascending:
     ``top(k)`` for k within them is a view of that sorted tail, and a larger
-    k sorts only the values below it, so reading one sample at many k sorts
-    each value at most once. The first extension also splits off the top
-    eighth of the values (``_split``, at least k), and an extension within
-    the split partitions only that eighth, so a scan over k up to n/8
+    k partitions the values below it once and sorts the new block, growing
+    the tail to at least the top eighth and at least double: reading one
+    sample at many k sorts each value at most once, and at every k up to n/8
     partitions all n values once. ``count_above`` answers from the sorted
     tail when the level is within it. The sample is fully sorted only if a
     caller asks for ``ordered``. Threads may share a sample: a lock
@@ -69,7 +64,7 @@ class SampleData:
     ``_TailTooShort`` instead of answering.
     """
 
-    __slots__ = ("values", "maximum", "n", "floor", "_work", "_sorted", "_split", "_lock")
+    __slots__ = ("values", "maximum", "n", "floor", "_work", "_sorted", "_lock")
 
     def __init__(self, values):
         given = np.asarray(values, dtype=float)
@@ -100,7 +95,6 @@ class SampleData:
         self.values = values
         self._work = None
         self._sorted = 0
-        self._split = 0
         self._lock = threading.Lock()
         self.n = n
         self.floor = floor
@@ -144,22 +138,16 @@ class SampleData:
         sorted."""
         if self._work is None:
             self._work = self.values.copy()
-        elif not self._split:
+        elif not self._sorted:
             self._work[...] = self.values
         size = self._work.size
-        # Sorting a few more values costs little next to a partition: grow to
-        # at least _MIN_SORTED and at least double the tail.
-        k = min(size, max(k, 2 * self._sorted, _MIN_SORTED))
+        # Sorting more values costs little next to a partition: the first
+        # extension sorts at least the top eighth, and each later one at
+        # least doubles the tail.
+        k = min(size, max(k, 2 * self._sorted, size // 8))
         rest = self._work[: size - self._sorted]
-        if k > self._split:
-            # the last _split values of _work are its _split largest: only
-            # this partition reads every value below the tail
-            self._split = max(k, size // 8)
-            rest.partition(size - self._split)
-        block = rest[size - self._split:]
-        if k < self._split:
-            block.partition(self._split - k)
-        block[self._split - k:].sort()
+        rest.partition(size - k)
+        rest[size - k:].sort()
         self._sorted = k
 
     @property

@@ -35,7 +35,7 @@ from trunctail import (
     u_count,
     v_count,
 )
-from trunctail.estimator import _MIN_SORTED, _adopt, _TailTooShort
+from trunctail.estimator import _adopt, _TailTooShort
 
 LOG2 = math.log(2.0)
 
@@ -311,16 +311,16 @@ class TestSortedTail:
 
     @staticmethod
     def _split_sample():
-        """n = 3 * 8 * _MIN_SORTED values in shuffled order, with few distinct
-        values and one run of ties across rank n/8."""
-        n = 24 * _MIN_SORTED
+        """n = 24,576 values in shuffled order, with few distinct values and
+        one run of ties across rank n/8."""
+        n = 24_576
         desc = np.sort(np.random.default_rng(23).integers(0, 5000, n) / 4.0)[::-1]
         desc[n // 8 - 40 : n // 8 + 40] = desc[n // 8]
         return np.random.default_rng(24).permutation(desc), np.ascontiguousarray(desc)
 
     @pytest.mark.parametrize("ks", [
-        # the first extension splits off the top n/8; later ones stay within
-        # it, land on it, or pass it and split again
+        # the first extension sorts the top n/8; later ones stay within the
+        # tail, land on its edge, or pass it and at least double it
         [1, 100, 2_000, 3_071, 3_072, 3_073, 6_000, 24_576],
         [3_073, 3_072, 3_000, 1_000, 3_080, 20_000, 3_071, 24_576],
         [3_072, 5, 3_072, 12_000, 3_100, 7_000, 2],
@@ -336,7 +336,7 @@ class TestSortedTail:
         for k in ks:
             got = sample.top(k)
             assert got.tobytes() == desc[:k].tobytes()
-            assert sample._split >= n // 8
+            assert sample._sorted >= n // 8
             returned.append((got, got.tobytes()))
             for level in levels + [desc[k - 1], desc[sample._sorted - 1]]:
                 assert sample.count_above(level) == np.count_nonzero(x > level)
@@ -345,16 +345,28 @@ class TestSortedTail:
         assert sample.values.tobytes() == x.tobytes()
 
     def test_split_blocks_over_many_shuffles(self):
-        # distinct values, so no tie hides a value that a block's partition
-        # left out of the sorted tail; numpy's partition seldom does so by
-        # chance, hence the many shuffles
-        n = 32 * _MIN_SORTED
+        # distinct values, so no tie hides a value that an extension's
+        # partition left out of the sorted tail; numpy's partition seldom does
+        # so by chance, hence the many shuffles. The tail grows 4,096, 8,192,
+        # 16,384, 32,768.
+        n = 32_768
         desc = np.arange(n, 0, -1) / 4.0
         rng = np.random.default_rng(29)
         for _ in range(150):
             sample = SampleData(rng.permutation(desc))
-            for k in (1, 2_100, 1_100, 4_100):
+            for k in (1, 4_000, 4_100, 2_000, 9_000, 16_385):
                 assert sample.top(k).tobytes() == desc[:k].tobytes()
+
+    @given(tied_samples, st.data())
+    def test_tail_grows_to_the_top_eighth_and_at_least_doubles(self, values, data):
+        sample = SampleData(values)
+        size = sample.values.size
+        for k in data.draw(st.lists(st.integers(1, size), min_size=1, max_size=8)):
+            before = sample._sorted
+            sample.top(k)
+            assert sample._sorted >= min(size, max(k, size // 8))
+            if before and sample._sorted != before:
+                assert sample._sorted >= min(size, 2 * before)
 
     def test_trend_equals_fresh_prefixes_and_reads_no_values(self):
         x, _ = self._split_sample()
