@@ -255,6 +255,9 @@ def estimate(
     if params is None:
         params = AdaptiveParams()
     level = _check_level(level)
+    # the first extension sorts at least the top eighth, which holds the
+    # level whenever V < n/8, so V is a binary search there, not a pass
+    sample.top(1)
     v = v_count(sample, params.gamma)
     if k is None:
         k = tilde_k(sample.n, v, params.beta)

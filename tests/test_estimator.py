@@ -579,6 +579,27 @@ class TestEstimate:
         with pytest.raises(InsufficientTailDataError, match="k = 1"):
             estimate(SampleData(values), AdaptiveParams(beta=0.9, gamma=0.5))
 
+    @pytest.mark.parametrize("k", [None, 2, 4_000])
+    def test_v_is_read_from_the_sorted_block(self, k, monkeypatch):
+        x = sample_tail(Pareto(alpha=2), 5000, seed=3)
+        want = estimate(SampleData(x), k=k)
+        assert want.v_count < x.size // 8
+        sample = SampleData(x)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("V was counted over every value")
+
+        monkeypatch.setattr(np, "count_nonzero", no_pass)
+        assert estimate(sample, k=k) == want
+
+    def test_zero_sample_fails_in_v_count_after_the_level(self):
+        s = SampleData([0.0] * 20)
+        with pytest.raises(ValueError, match="level"):
+            estimate(s, level=1.0)
+        for k in (None, 2, 21):
+            with pytest.raises(DegenerateSampleError, match="sample maximum is 0"):
+                estimate(s, k=k)
+
     def test_forced_k_validated(self):
         s = SampleData([8, 4, 2, 1])
         with pytest.raises(ValueError, match="forced k"):
