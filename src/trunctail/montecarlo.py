@@ -80,7 +80,8 @@ class ExperimentSpec:
     def __post_init__(self):
         n_list = tuple(self.n_list) if np.iterable(self.n_list) else None
         if n_list is None or not all(_is_int(n) for n in n_list):
-            raise ValueError(f"n_list must be a list of integers, got {self.n_list!r}")
+            got = _shown(self.n_list) if n_list is None else f"[{', '.join(map(_shown, n_list))}]"
+            raise ValueError(f"n_list must be a list of integers, got {got}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in n_list))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")

@@ -68,6 +68,8 @@ SAMPLE = SampleData(np.arange(1.0, 11.0))
     pytest.param("n", lambda: tilde_k(HUGE, 1, 0.5), id="tilde_k-n"),
     pytest.param("n", lambda: ExperimentSpec(params=AdaptiveParams(), n_list=[HUGE], replications=2, base_seed=0,
                                              **DESIGN), id="ExperimentSpec-n_list"),
+    pytest.param("n_list", lambda: ExperimentSpec(params=AdaptiveParams(), n_list=[HUGE, 1.5], replications=2,
+                                                  base_seed=0, **DESIGN), id="ExperimentSpec-n_list-item"),
     pytest.param("replications", lambda: ExperimentSpec(params=AdaptiveParams(), n_list=[100], replications=HUGE,
                                                         base_seed=0, **DESIGN), id="ExperimentSpec-replications"),
     pytest.param("seed", lambda: TruncatedSampleSpec(*DESIGN.values(), n=100, seed=HUGE), id="TruncatedSampleSpec"),
