@@ -16,6 +16,7 @@ from ._params import (
     InsufficientTailDataError,
     _check_level,
     _check_unit,
+    _is_int,
     _shown,
 )
 from .normal import normal_quantile
@@ -116,8 +117,8 @@ class SampleData:
 
     def top(self, k: int) -> np.ndarray:
         """The k largest values in descending order, as a read-only array."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k must be in [1, {self.n}], got {_shown(k, str)}")
+        if not (_is_int(k) and 1 <= k <= self.n):
+            raise ValueError(f"k must be in [1, {self.n}] and an integer, got {_shown(k, str)}")
         size = self.values.size
         if k > size:
             raise _TailTooShort(f"k = {k} exceeds the {size} values held")
@@ -266,8 +267,8 @@ def estimate(
                 f"adaptive count k = {k} (V = {v}, n = {sample.n}); need k >= 2 -- "
                 "the observed tail is too thin for these (beta, gamma)"
             )
-    elif not 2 <= k <= sample.n:
-        raise ValueError(f"forced k must be in [2, {sample.n}], got {_shown(k, str)}")
+    elif not (_is_int(k) and 2 <= k <= sample.n):
+        raise ValueError(f"forced k must be in [2, {sample.n}] and an integer, got {_shown(k, str)}")
     h = hill_statistic(sample, k)
     if h <= 0.0:
         raise DegenerateSampleError(
@@ -292,8 +293,9 @@ def hill_curve(sample: SampleData, k_min: int, k_max: int) -> tuple[np.ndarray, 
     """Arrays (ks, hs) with hs[i] = h(ks[i], n) for every k in [k_min, k_max],
     from one prefix-sum pass, O(k_max)."""
     n = sample.n
-    if not 1 <= k_min <= k_max <= n:
-        raise ValueError(f"need 1 <= k_min <= k_max <= {n}, got [{_shown(k_min, str)}, {_shown(k_max, str)}]")
+    if not (_is_int(k_min) and _is_int(k_max) and 1 <= k_min <= k_max <= n):
+        raise ValueError(f"need integers with 1 <= k_min <= k_max <= {n}, "
+                         f"got [{_shown(k_min, str)}, {_shown(k_max, str)}]")
     top = sample.top(k_max)
     if top[-1] <= 0.0:
         raise DegenerateSampleError(f"X_({k_max}) = 0; log ratios are undefined")

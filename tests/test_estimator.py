@@ -422,6 +422,34 @@ class TestSortedTail:
             sys.setswitchinterval(interval)
 
 
+HUNDRED = SampleData(np.arange(1.0, 101.0))
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("k", lambda: estimate(HUNDRED, k=2.5), id="estimate-float"),
+    pytest.param("k", lambda: estimate(HUNDRED, k=np.float64(3)), id="estimate-np.float64"),
+    pytest.param("k", lambda: estimate(HUNDRED, k=True), id="estimate-bool"),
+    pytest.param("k", lambda: HUNDRED.top(3.0), id="top-float"),
+    pytest.param("k", lambda: HUNDRED.top(True), id="top-bool"),
+    pytest.param("k", lambda: hill_statistic(HUNDRED, 3.0), id="hill_statistic"),
+    pytest.param("k_max", lambda: hill_curve(HUNDRED, 2, 50.0), id="hill_curve-k_max"),
+    pytest.param("k_min", lambda: hill_curve(HUNDRED, np.float32(2), 50), id="hill_curve-k_min"),
+])
+def test_non_integer_k_is_refused_by_name(name, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert re.search(rf"\b{name}\b", message) and "integer" in message, message
+    assert "slice indices" not in message and "Exceeds the limit" not in message
+
+
+def test_numpy_integer_k_is_taken():
+    assert estimate(HUNDRED, k=np.int64(40)) == estimate(HUNDRED, k=40)
+    assert HUNDRED.top(np.uint8(3)).tolist() == [100.0, 99.0, 98.0]
+    assert [a.tolist() for a in hill_curve(HUNDRED, np.int32(2), np.int64(9))] == \
+        [a.tolist() for a in hill_curve(HUNDRED, 2, 9)]
+
+
 class TestHillStatistic:
     def test_hand_example(self):
         s = SampleData([8, 4, 2, 1])
