@@ -41,10 +41,10 @@ _H_STREAM = 0
 _L_STREAM = 1
 
 # Philox yields 4 64-bit words per counter step, and each light value uses
-# one word (one rng.random double), so skipping a whole block of light values
-# is a counter advance of _BLOCK // _PHILOX_WORDS steps.
+# one word (one rng.random double). Capped positions at most _GAP apart share
+# one light draw: there one more call costs about as much as the values between.
 _PHILOX_WORDS = 4
-_BLOCK = 4096
+_GAP = 1024
 
 # A replication compares its raw heavy words 2**16 at a time: 512 KB stay in
 # cache, where one array of all n words is 8 MB at n = 1e6.
@@ -292,8 +292,8 @@ def _truncated(spec: TruncatedSampleSpec, s_cut: float) -> SampleData:
     The tail holds the same values as the whole sample at the same positions,
     since both transform the same uniforms elementwise. Position j of the
     light stream holds the excess for position j of the sample, as if all n
-    excesses were drawn; only the blocks that hold a capped position are
-    drawn, and the stream is advanced past the others.
+    excesses were drawn; only runs of capped positions are drawn, each from
+    the counter step of its first, and the stream is advanced past the rest.
     """
     n = spec.n
     m = spec.truncation.threshold(n)
@@ -311,20 +311,20 @@ def _truncated(spec: TruncatedSampleSpec, s_cut: float) -> SampleData:
             heavy = spec.tail._inverse_survival(s)
         big = np.flatnonzero(heavy > m)
         capped = big if where is None else where[big]  # ascending sample positions
-        block = capped // _BLOCK
-        # capped positions in consecutive blocks form one run, drawn in one call
-        first = [0, *(np.flatnonzero(np.diff(block) > 1) + 1).tolist()] if capped.size else []
+        # capped positions at most _GAP apart form one run, drawn in one call
+        first = [0, *(np.flatnonzero(np.diff(capped) > _GAP) + 1).tolist()] if capped.size else []
         rng = _stream(spec.seed, _L_STREAM)
-        drawn = 0  # light values the stream has produced so far
+        drawn = 0  # light values the stream has produced, in whole counter steps
         for i, j in zip(first, first[1:] + [capped.size]):
-            lo, hi = int(block[i]) * _BLOCK, min((int(block[j - 1]) + 1) * _BLOCK, n)
+            # from the counter step that holds the run's first position
+            lo, hi = int(capped[i]) // _PHILOX_WORDS * _PHILOX_WORDS, int(capped[j - 1]) + 1
             rng.bit_generator.advance((lo - drawn) // _PHILOX_WORDS)
             light = spec.light.sample(rng, hi - lo)
             bumped = m + light[capped[i:j] - lo]
             if not np.all(np.isfinite(bumped)):
                 raise ValueError(f"M_n + L overflows: M_n = {m!r}, light = {spec.light!r}")
             heavy[big[i:j]] = bumped
-            drawn = hi
+            drawn = -(-hi // _PHILOX_WORDS) * _PHILOX_WORDS  # advance drops the rest of a step
     # The whole sample keeps its checked copy: handed over uncopied, it left
     # a heap on which the tail-scan benchmark's passes ran slower.
     return SampleData(heavy) if where is None else _adopt(heavy, n, floor)

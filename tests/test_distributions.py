@@ -24,7 +24,7 @@ from trunctail import (
     sample_truncated,
 )
 from trunctail.distributions import (
-    _BLOCK,
+    _GAP,
     _RAW_CHUNK,
     _stream,
     _tail_floor,
@@ -290,6 +290,19 @@ class CountingExponential(Exponential):
         return super().sample(rng, n)
 
 
+@dataclass(frozen=True)
+class CappedAt:
+    """A heavy law that draws 2 at the given positions and 0 elsewhere, so a
+    threshold near 1 caps exactly those positions."""
+
+    positions: tuple
+
+    def _inverse_survival(self, u):
+        u[...] = 0.0
+        u[list(self.positions)] = 2.0
+        return u
+
+
 def drawing_every_excess(spec):
     """The straight-line threshold rule: all n heavy draws and all n excesses."""
     m = spec.truncation.threshold(spec.n)
@@ -300,9 +313,10 @@ def drawing_every_excess(spec):
 
 
 class TestLightDrawsOnlyWhereCapped:
-    """sample_truncated draws light excesses only in the blocks that hold a
-    capped position and advances the stream past the rest; the result must
-    equal the straight-line rule that draws all n excesses."""
+    """sample_truncated draws light excesses only for runs of capped
+    positions, each from the counter step of its first, and advances the
+    stream past the rest; the result must equal the straight-line rule that
+    draws all n excesses."""
 
     # Pareto(1, 1) with delta ~ 0 caps each value with probability ~ 1/A
     CAPPING = {"none": 1e300, "sparse": 1e4, "dense": 3.0, "total": 0.5}
@@ -313,11 +327,11 @@ class TestLightDrawsOnlyWhereCapped:
         return TruncatedSampleSpec(Pareto(alpha=1), light, trunc, n, seed)
 
     # every light model: one that used more than one uniform per value would
-    # no longer line up with the skipped blocks and fail here
+    # no longer line up with the skipped counter steps and fail here
     @pytest.mark.parametrize("light_cls", typing.get_args(LightTailModel))
     @pytest.mark.parametrize("capping", list(CAPPING))
     def test_matches_drawing_every_excess(self, light_cls, capping):
-        for n in (1, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 10**5):
+        for n in (1, 3, _GAP - 1, _GAP, _GAP + 1, 2 * _GAP + 1, 10**5):
             for seed in (0, 2**64 - 1):
                 spec = self._spec(light_cls(), n, seed, capping)
                 got = sample_truncated(spec).values
@@ -332,26 +346,51 @@ class TestLightDrawsOnlyWhereCapped:
             capped = int(np.count_nonzero(sample_tail(spec.tail, n, spec.seed) > m))
             sample_truncated(spec)
             drawn = sum(light.calls)
-            assert drawn <= _BLOCK * capped
+            assert drawn <= _GAP * capped
             if capping == "sparse":
                 assert 0 < capped and drawn < n
             if capping == "total":
                 assert capped == n and light.calls == [n]
 
+    @staticmethod
+    def _run_lengths(capped):
+        """The run rule: one light call per run of capped positions at most
+        _GAP apart, from the run's first position rounded down to a multiple
+        of 4 (one Philox counter step) to its last position."""
+        runs = []  # [first, last] capped position of each run
+        for c in capped:
+            if runs and c - runs[-1][1] <= _GAP:
+                runs[-1][1] = c
+            else:
+                runs.append([c, c])
+        return runs, [last + 1 - first // 4 * 4 for first, last in runs]
+
     @pytest.mark.parametrize("capping", ["sparse", "dense", "total"])
-    @pytest.mark.parametrize("n", [_BLOCK - 1, 2 * _BLOCK + 1, 10**5])
-    def test_one_call_per_run_of_marked_blocks(self, capping, n):
+    @pytest.mark.parametrize("n", [_GAP - 1, 2 * _GAP + 1, 10**5])
+    def test_one_call_per_run_of_capped_positions(self, capping, n):
         light = CountingExponential()
         spec = self._spec(light, n, 3, capping)
         capped = np.flatnonzero(sample_tail(spec.tail, n, spec.seed) > spec.truncation.threshold(n))
-        runs = []  # [first, last + 1) of each run of consecutive marked blocks
-        for b in sorted(set((capped // _BLOCK).tolist())):
-            if runs and runs[-1][1] == b:
-                runs[-1][1] = b + 1
-            else:
-                runs.append([b, b + 1])
         sample_truncated(spec)
-        assert light.calls == [min(hi * _BLOCK, n) - lo * _BLOCK for lo, hi in runs]
+        assert light.calls == self._run_lengths(capped.tolist())[1]
+
+    def test_runs_split_past_the_gap_and_end_anywhere_in_a_step(self):
+        # neighbours _GAP apart share a run and _GAP + 1 apart do not; over the
+        # four starts the runs begin and end at every position mod 4
+        gaps = [_GAP, _GAP + 1, _GAP + 1, 1, _GAP + 1, 2, _GAP + 1, 3, _GAP + 1, _GAP]
+        starts, ends = set(), set()
+        for start in range(4):
+            capped = np.cumsum([start, *gaps]).tolist()
+            light = CountingExponential()
+            spec = TruncatedSampleSpec(CappedAt(tuple(capped)), light,
+                                       TruncationScheme(A=1.0, delta=1e-12), capped[-1] + 3, 5)
+            got = sample_truncated(spec).values
+            runs, lengths = self._run_lengths(capped)
+            assert light.calls == lengths
+            assert got.tobytes() == drawing_every_excess(spec).tobytes(), start
+            starts |= {first % 4 for first, _ in runs}
+            ends |= {last % 4 for _, last in runs}
+        assert starts == ends == {0, 1, 2, 3}
 
 
 generic_tails = st.one_of(
@@ -359,8 +398,8 @@ generic_tails = st.one_of(
     st.builds(Burr, tau=st.floats(0.2, 6), lam=st.floats(0.1, 6)),
 )
 light_models = st.sampled_from([Zero(), Exponential(rate=1.0), Exponential(rate=0.05), Uniform(b=2.0)])
-block_edge_sizes = st.one_of(
-    st.sampled_from([1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+edge_sizes = st.one_of(
+    st.sampled_from([1, 2, 3, _GAP - 1, _GAP, _GAP + 1, 2 * _GAP + 1]),
     st.integers(1, 30_000),
 )
 # share of draws above M_n ~ A (delta ~ 0): none, sparse, dense or total
@@ -377,7 +416,7 @@ class TestTailSurvivals:
     """_tail_survivals selects on raw Philox words; it must give the positions
     where 1 - Generator.random(n) <= s_cut and, bit for bit, those doubles."""
 
-    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 8193,
                                    _RAW_CHUNK - 1, _RAW_CHUNK, _RAW_CHUNK + 1, 10**5])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_matches_comparing_doubles(self, n, seed):
@@ -409,7 +448,7 @@ class TestTailSample:
     at or below its floor."""
 
     @settings(max_examples=80, deadline=None)
-    @given(generic_tails, light_models, block_edge_sizes, cappings,
+    @given(generic_tails, light_models, edge_sizes, cappings,
            st.integers(0, 2**64 - 1), st.floats(-9, -1e-6))
     def test_holds_the_top_of_the_whole_sample(self, tail, light, n, p, seed, log_cut):
         s_cut = 10.0**log_cut

@@ -29,7 +29,7 @@ from trunctail import (
     run_replication,
     sample_truncated,
 )
-from trunctail.distributions import _BLOCK
+from trunctail.distributions import _GAP
 from trunctail.montecarlo import _MAX_REPLICATIONS, _replicate, aggregate_json, qq_csv, replications_csv
 from trunctail.normal import ks_distance
 
@@ -172,7 +172,7 @@ class TestTailPath:
     @given(
         tail=generic_tails,
         light=st.sampled_from([Zero(), Exponential(rate=1.0), Uniform(b=2.0)]),
-        n=st.one_of(st.sampled_from([2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+        n=st.one_of(st.sampled_from([2, 3, _GAP - 1, _GAP, _GAP + 1, 2 * _GAP + 1]),
                     st.integers(1, 50_000)),
         # expected capped count: none, sparse, half or all of the sample
         capped=st.sampled_from(["none", "sparse", "half", "total"]),
