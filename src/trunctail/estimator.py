@@ -142,10 +142,10 @@ class SampleData:
         elif not self._sorted:
             self._work[...] = self.values
         size = self._work.size
-        # Sorting ahead bounds the partitions of the values below the tail:
-        # the first extension sorts at least the top eighth, and each later
-        # one at least doubles the tail.
-        k = min(size, max(k, 2 * self._sorted, size // 8))
+        # Sorting ahead bounds the partitions of the values below the tail: the
+        # first extension sorts at least n/8 values, or all held if fewer, and
+        # each later one at least doubles the tail.
+        k = min(size, max(k, 2 * self._sorted, self.n // 8))
         rest = self._work[: size - self._sorted]
         rest.partition(size - k)
         rest[size - k:].sort()

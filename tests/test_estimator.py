@@ -35,7 +35,10 @@ from trunctail import (
     u_count,
     v_count,
 )
+from trunctail.diagnostics import design_rates
+from trunctail.distributions import _truncated
 from trunctail.estimator import _adopt, _TailTooShort
+from trunctail.montecarlo import _CUT_SAFETY
 
 LOG2 = math.log(2.0)
 
@@ -367,6 +370,21 @@ class TestSortedTail:
             assert sample._sorted >= min(size, max(k, size // 8))
             if before and sample._sorted != before:
                 assert sample._sorted >= min(size, 2 * before)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_top_only_sample_sorts_once(self, n, monkeypatch):
+        # a replication's sample at the study design holds a few hundred
+        # values, and k-hat exceeds an eighth of them
+        tail, trunc = Burr(tau=1, lam=2), TruncationScheme(A=1.0, delta=0.45)
+        params = AdaptiveParams(beta=0.8, gamma=0.5)
+        cut = _CUT_SAFETY * design_rates(tail, trunc, params, n).oracle_k / n
+        sample = _truncated(TruncatedSampleSpec(tail, Exponential(), trunc, n, 11), cut)
+        calls = []
+        sort_tail = SampleData._sort_tail
+        monkeypatch.setattr(SampleData, "_sort_tail", lambda s, k: calls.append(k) or sort_tail(s, k))
+        result = estimate(sample, params)
+        assert result.k_hat > sample.values.size // 8
+        assert calls == [1] and sample._sorted == sample.values.size
 
     def test_trend_equals_fresh_prefixes_and_reads_no_values(self):
         x, _ = self._split_sample()
