@@ -352,6 +352,19 @@ class TestLightDrawsOnlyWhereCapped:
             if capping == "total":
                 assert capped == n and light.calls == [n]
 
+    def test_advance_drops_the_rest_of_a_counter_step(self):
+        # every run that ends inside a counter step relies on it: after
+        # advance(d), the next double comes from word 4 * (d + 1), whatever
+        # words of the current step were left unread
+        for d in (0, 1, 5):
+            words = _stream(9, 1).bit_generator.random_raw(4 * (d + 2))
+            for used in (1, 2, 3):
+                rng = _stream(9, 1)
+                rng.random(used)
+                rng.bit_generator.advance(d)
+                want = float(words[4 * (d + 1)] >> np.uint64(11)) * 2.0**-53
+                assert rng.random() == want, (d, used)
+
     @staticmethod
     def _run_lengths(capped):
         """The run rule: one light call per run of capped positions at most
