@@ -380,7 +380,7 @@ class TestLightDrawsOnlyWhereCapped:
 
     @pytest.mark.parametrize("capping", ["sparse", "dense", "total"])
     @pytest.mark.parametrize("n", [_GAP - 1, 2 * _GAP + 1, 10**5])
-    def test_one_call_per_run_of_capped_positions(self, capping, n):
+    def test_one_call_per_run(self, capping, n):
         light = CountingExponential()
         spec = self._spec(light, n, 3, capping)
         capped = np.flatnonzero(sample_tail(spec.tail, n, spec.seed) > spec.truncation.threshold(n))
