@@ -42,7 +42,7 @@ _L_STREAM = 1
 
 # Philox yields 4 64-bit words per counter step, and each light value uses
 # one word (one rng.random double). Capped positions at most _GAP apart share
-# one light draw: there one more call costs about as much as the values between.
+# one light call: near there, one more call costs as much as the values between.
 _PHILOX_WORDS = 4
 _GAP = 1024
 
@@ -316,7 +316,6 @@ def _truncated(spec: TruncatedSampleSpec, s_cut: float) -> SampleData:
         rng = _stream(spec.seed, _L_STREAM)
         drawn = 0  # light values the stream has produced, in whole counter steps
         for i, j in zip(first, first[1:] + [capped.size]):
-            # from the counter step that holds the run's first position
             lo, hi = int(capped[i]) // _PHILOX_WORDS * _PHILOX_WORDS, int(capped[j - 1]) + 1
             rng.bit_generator.advance((lo - drawn) // _PHILOX_WORDS)
             light = spec.light.sample(rng, hi - lo)
